@@ -6,9 +6,10 @@ against the published reference column, and the per-centrality app-utility
 of the top-20% query. The dataset is not bundled; download the edge list
 (one "src dst" pair per line) and pass its path.
 
-Expect a long wall time: the two-hop spanning forest touches every
-common-neighbor pair, which is heavy in pure Python on a hub-rich web
-graph. The sweep itself (binary searches) is cheap once the forest exists.
+The two-hop spanning forest is cheap: Kruskal over at most 2m star pairs,
+never the sum of squared degrees of common-neighbor pairs. The wall time
+goes to the sweep, whose binary searches recompute the utility of a
+merged partition at every probe in pure Python.
 """
 
 from __future__ import annotations

@@ -26,7 +26,8 @@ class DegenerateWeightsError(GraphSumError):
 
 
 class UnsupportedSummaryError(GraphSumError):
-    """Operation requires a lossless summary with clique/IS tags."""
+    """A summary the operation cannot take: a lossy one where clique/IS tags
+    are needed, or a summary directory whose files disagree."""
 
 
 class CapExceededError(GraphSumError):

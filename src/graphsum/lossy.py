@@ -1,21 +1,22 @@
 """Lossy utility-threshold summarization.
 
 The merge candidates are the edges of the 2-hop graph (pairs sharing at
-least one common neighbor) weighted by C_u + C_v. A minimum spanning
-forest of that graph, built implicitly with a Prim sweep that scans
-two-hop neighborhoods on extraction, is a sufficient candidate list: it
-yields the same summaries as the full sorted pair list. Utility is
-non-increasing as the sorted forest edges are merged in order, so the
-largest merge prefix that keeps utility above the threshold is found by
-binary search, recomputing the union-find partition from scratch at every
-probe.
+least one common neighbor) weighted by C_u + C_v. Their minimum spanning
+forest under (weight, min id, max id), Kruskal over the star pairs of each
+neighborhood's lightest node (plus its near-ties, see two_hop_mst), is a
+sufficient candidate list: it yields the same summaries as the full sorted
+pair list. Utility is non-increasing as the sorted forest edges are merged
+in order, so the largest merge prefix that keeps utility above the threshold
+is found by binary search, recomputing the union-find partition from scratch
+at every probe.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+
+import numpy as np
 
 from .centrality import EdgeWeightModel, NodeCentrality
 from .errors import CapExceededError
@@ -45,52 +46,49 @@ class MergePairList:
 
 
 def two_hop_mst(g: Graph, c: NodeCentrality) -> MergePairList:
-    """Minimum spanning forest of the 2-hop graph under weight C_u + C_v.
-
-    Prim's algorithm with a lazy binary heap; the 2-hop graph is never
-    materialized. Restarting from the lowest unvisited id gives one tree
-    per 2-hop component. Edges come back sorted ascending by
-    (weight, min id, max id).
-    """
+    """The minimum spanning forest of the 2-hop graph under (C_u + C_v,
+    min id, max id), in that order: Kruskal over star pairs. Each N(b) is a
+    2-hop clique; with h(b) its lightest node by (C, id), a pair (y, x) of
+    N(b) avoiding h(b) is the strict maximum of the triangle (h(b), y, x),
+    so only the (at most 2m) star pairs (h(b), x) are sorted. Rounding can
+    tie C_h + C_x with C_y + C_x when C_y is a few ulps above C_h: such a
+    near-hub y keeps its own star pairs too."""
     if len(c) != g.n:
         raise ValueError("centrality length does not match graph")
     n = g.n
-    scores = c.scores.tolist()
-    adj = g.adjacency_lists
-    key = [math.inf] * n
-    parent = [-1] * n
-    done = [False] * n
-    heap: list[tuple[float, int]] = []
-    edges: list[tuple[float, int, int]] = []
+    scores = np.asarray(c.scores, dtype=np.float64)
+    keys = _star_pair_keys(g, scores)
+    weights = scores[keys // n] + scores[keys % n]
+    keys = keys[np.argsort(weights, kind="stable")]  # keys ascend by (lo, hi)
+    forest, pairs = UnionFind(n), []
+    for key in keys.tolist():
+        u, v = divmod(key, n)
+        if forest.union(u, v):
+            pairs.append((u, v))
+    return MergePairList(pairs, [float(scores[u] + scores[v]) for u, v in pairs])
 
-    for seed in range(n):
-        if done[seed]:
-            continue
-        key[seed] = 0.0
-        heappush(heap, (0.0, seed))
-        while heap:
-            kv, v = heappop(heap)
-            if done[v] or kv > key[v]:
-                continue  # stale entry left behind by a decrease-key
-            done[v] = True
-            if parent[v] >= 0:
-                a, b = (v, parent[v]) if v < parent[v] else (parent[v], v)
-                edges.append((key[v], a, b))
-            cv = scores[v]
-            seen: set[int] = set()
-            for b in adj[v]:
-                for w in adj[b]:
-                    if w == v or done[w] or w in seen:
-                        continue
-                    seen.add(w)  # weight is endpoint-only; one check suffices
-                    wt = cv + scores[w]
-                    if wt < key[w]:
-                        key[w] = wt
-                        parent[w] = v
-                        heappush(heap, (wt, w))
 
-    edges.sort()
-    return MergePairList([(a, b) for _, a, b in edges], [w for w, _, _ in edges])
+def _star_pair_keys(g: Graph, scores: np.ndarray) -> np.ndarray:
+    """Distinct star pairs (u, v), u < v, of two_hop_mst as sorted keys u*n + v."""
+    n, targets, deg = g.n, g.targets, g.degrees
+    starts, counts = g.offsets[:-1][deg > 0], deg[deg > 0]
+    by_score = np.lexsort((np.arange(n), scores))  # nodes ascending by (C, id)
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_score] = np.arange(n)
+    hub = by_score[np.minimum.reduceat(rank[targets], starts)]  # per row b
+    c_x = scores[targets]
+    scale = np.maximum.reduceat(np.abs(c_x), starts)
+    limit = scores[hub] + 4 * np.finfo(np.float64).eps * scale
+    row = np.repeat(np.arange(len(starts)), counts)
+    near = (c_x > scores[hub][row]) & (c_x <= limit[row])
+    centers = np.flatnonzero((targets == hub[row]) | near)
+    # pair each star center with every node of its own N(b)
+    row = row[centers]
+    span = counts[row]
+    first = np.repeat(starts[row] - np.cumsum(span) + span, span)
+    a = np.repeat(targets[centers], span)
+    b = targets[first + np.arange(span.sum())]
+    return np.unique((np.minimum(a, b) * n + np.maximum(a, b))[a != b])
 
 
 def full_candidate_list(

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import graph as graphmod
-from .errors import CapExceededError, GraphSumError
+from .errors import CapExceededError, UnsupportedSummaryError
 from .graph import Graph
 
 KIND_SINGLETON = "singleton"
@@ -203,33 +203,84 @@ def save_summary(s: Summary, outdir: str | Path, meta: dict[str, object] | None 
 
 
 def load_summary(indir: str | Path) -> Summary:
+    """Read a summary directory, refusing one whose files disagree.
+
+    membership.txt must list each node 0..n-1 exactly once (n as in
+    meta.txt, when that records it) with dense supernode ids, and every
+    superedge must join known supernodes. Kinds follow from the structure:
+    a supernode of size 1 is a singleton, one with a self-superedge a
+    clique, any other an independent set; kinds.txt, when present, must
+    tag every supernode once with exactly that kind. Any violation raises
+    UnsupportedSummaryError naming the offending file.
+    """
     src = Path(indir)
-    membership_pairs = _read_pairs(src / "membership.txt")
-    n = len(membership_pairs)
-    membership = np.zeros(n, dtype=np.int64)
-    for node, sid in membership_pairs:
-        if not 0 <= node < n:
-            raise GraphSumError(f"membership.txt: node id {node} out of range")
-        membership[node] = sid
-    superedges = {
-        (min(a, b), max(a, b)) for a, b in _read_pairs(src / "superedges.txt")
-    }
+    path = src / "membership.txt"
+    pairs = _read_pairs(path)
+    nodes, n = pairs[:, 0], len(pairs)
+    meta_path = src / "meta.txt"
+    if meta_path.exists():
+        meta_n = read_meta(meta_path).get("n")
+        if meta_n is not None and meta_n != str(n):
+            raise _corrupt(path, f"{n} nodes listed, meta.txt records n={meta_n}")
+    bad = nodes[(nodes < 0) | (nodes >= n)]
+    if bad.size:
+        raise _corrupt(path, f"node id {bad[0]} out of range 0..{n - 1}")
+    repeated = np.flatnonzero(np.bincount(nodes, minlength=n) > 1)
+    if repeated.size:
+        raise _corrupt(path, f"node {repeated[0]} listed more than once")
+    membership = np.empty(n, dtype=np.int64)
+    membership[nodes] = pairs[:, 1]
+    if n and membership.min() < 0:
+        raise _corrupt(path, f"negative supernode id {membership.min()}")
+    sizes = np.bincount(membership)
+    if np.any(sizes == 0):
+        raise _corrupt(path, f"supernode id {np.argmin(sizes)} is unused")
+    k = len(sizes)
+    path = src / "superedges.txt"
+    pairs = _read_pairs(path)
+    unknown = pairs[((pairs < 0) | (pairs >= k)).any(axis=1)]
+    if unknown.size:
+        a, b = unknown[0].tolist()
+        raise _corrupt(path, f"superedge ({a},{b}) names an unknown supernode")
+    superedges = set(zip(pairs.min(axis=1).tolist(), pairs.max(axis=1).tolist()))
     kinds = None
-    kinds_path = src / "kinds.txt"
-    if kinds_path.exists():
-        k = int(membership.max()) + 1 if n else 0
-        kinds = [""] * k
-        with open(kinds_path, "r", encoding="ascii") as fh:
-            for line in fh:
-                sid_str, kind = line.split()
-                kinds[int(sid_str)] = kind
-        if "" in kinds:
-            raise GraphSumError("kinds.txt does not tag every supernode")
-    k = int(membership.max()) + 1 if n else 0
+    path = src / "kinds.txt"
+    if path.exists():
+        kinds = [
+            KIND_SINGLETON if size == 1
+            else KIND_CLIQUE if (sid, sid) in superedges
+            else KIND_INDEPENDENT_SET
+            for sid, size in enumerate(sizes.tolist())
+        ]
+        _check_kinds(path, kinds)
     supernodes: list[list[int]] = [[] for _ in range(k)]
     for u, sid in enumerate(membership.tolist()):
         supernodes[sid].append(u)
     return Summary(membership, supernodes, superedges, kinds)
+
+
+def _check_kinds(path: Path, kinds: list[str]) -> None:
+    """kinds.txt must tag each supernode once, with its structural kind."""
+    tagged: set[int] = set()
+    lines = path.read_text(encoding="ascii").splitlines()
+    for lineno, tokens in enumerate(map(str.split, lines), start=1):
+        if not tokens:
+            continue
+        if len(tokens) != 2 or not tokens[0].isdigit():
+            raise _corrupt(path, f"expected 'sid kind', got {' '.join(tokens)!r}", lineno)
+        sid, kind = int(tokens[0]), tokens[1]
+        if kind not in VALID_KINDS:
+            raise _corrupt(path, f"unknown kind {kind!r}", lineno)
+        if not 0 <= sid < len(kinds):
+            raise _corrupt(path, f"supernode {sid} out of range 0..{len(kinds) - 1}", lineno)
+        if sid in tagged:
+            raise _corrupt(path, f"supernode {sid} tagged twice", lineno)
+        if kind != kinds[sid]:
+            fact = f"its structure makes it {kinds[sid]}"
+            raise _corrupt(path, f"supernode {sid} tagged {kind}, but {fact}", lineno)
+        tagged.add(sid)
+    if len(tagged) != len(kinds):
+        raise _corrupt(path, "does not tag every supernode")
 
 
 def write_meta(meta: dict[str, object], path: str | Path) -> None:
@@ -249,13 +300,26 @@ def read_meta(path: str | Path) -> dict[str, str]:
     return out
 
 
-def _read_pairs(path: Path) -> list[tuple[int, int]]:
-    pairs = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            a, b = line.split()
-            pairs.append((int(a), int(b)))
-    return pairs
+def _read_pairs(path: Path) -> np.ndarray:
+    """The two integers on each non-blank line, as an (r, 2) int64 array."""
+    lines = path.read_text(encoding="ascii").splitlines()
+    rows = [tokens for tokens in map(str.split, lines) if tokens]
+    try:
+        pairs = np.array(rows, dtype=np.int64)
+        if pairs.shape[1:] == (2,) or not rows:
+            return pairs.reshape(-1, 2)
+    except (ValueError, OverflowError):
+        pass
+    for lineno, tokens in enumerate(map(str.split, lines), start=1):
+        try:
+            if tokens:
+                np.array(tokens, dtype=np.int64).reshape(2)
+        except (ValueError, OverflowError):
+            got = " ".join(tokens)
+            raise _corrupt(path, f"expected two integers, got {got!r}", lineno) from None
+    raise _corrupt(path, "expected two integers per line")
+
+
+def _corrupt(path: Path, message: str, lineno: int | None = None) -> UnsupportedSummaryError:
+    where = f"{path}: line {lineno}" if lineno is not None else str(path)
+    return UnsupportedSummaryError(f"{where}: {message}")

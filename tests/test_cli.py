@@ -202,6 +202,62 @@ class TestQuery:
         assert main(["query", "--summary", str(lossy_dir), "sssp", "0", "1"]) == 3
 
 
+@pytest.fixture
+def cycle4_summary(tmp_path, capsys):
+    """Lossless summary of the 4-cycle 0-1-2-3-0: supernodes {0,2} and {1,3}."""
+    path = tmp_path / "c4.txt"
+    path.write_text("0 1\n1 2\n2 3\n3 0\n")
+    out = tmp_path / "c4sum"
+    assert main(["lossless", "--input", str(path), "--out", str(out)]) == 0
+    assert (out / "membership.txt").read_text() == "0 0\n1 1\n2 0\n3 1\n"
+    assert (out / "kinds.txt").read_text() == "0 independent_set\n1 independent_set\n"
+    capsys.readouterr()
+    return out
+
+
+class TestCorruptSummary:
+    """Inconsistent summary directories exit 3 and name the file at fault."""
+
+    @pytest.mark.parametrize(
+        "membership",
+        [
+            "0 0\n1 1\n2 0\n1 1\n",  # node 1 twice, node 3 never
+            "0 0\n1 1\n2 0\n",  # node 3 missing
+            "0 0\n1 1\n2 0\n4 1\n",  # node id out of range
+        ],
+        ids=["duplicate", "missing", "out-of-range"],
+    )
+    def test_membership_not_a_permutation(self, cycle4_summary, capsys, membership):
+        (cycle4_summary / "membership.txt").write_text(membership)
+        assert main(["query", "--summary", str(cycle4_summary), "sssp", "1", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "membership.txt" in captured.err
+
+    def test_kind_contradicting_structure(self, cycle4_summary, capsys):
+        # supernode 0 has no self-superedge, so it cannot be a clique
+        (cycle4_summary / "kinds.txt").write_text("0 clique\n1 independent_set\n")
+        assert main(["query", "--summary", str(cycle4_summary), "triangles"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "kinds.txt" in captured.err
+
+    @pytest.mark.parametrize(
+        "extra",
+        ["5 clique\n", "1\n", "1 independent_set extra\n", "1 blob\n", "x clique\n"],
+        ids=["sid-out-of-range", "one-token", "three-tokens", "unknown-kind", "non-integer"],
+    )
+    def test_bad_kinds_line(self, cycle4_summary, capsys, extra):
+        kinds = cycle4_summary / "kinds.txt"
+        kinds.write_text(kinds.read_text() + extra)
+        assert main(["query", "--summary", str(cycle4_summary), "triangles"]) == 3
+        assert "kinds.txt" in capsys.readouterr().err
+
+    def test_intact_summary_still_answers(self, cycle4_summary, capsys):
+        assert main(["query", "--summary", str(cycle4_summary), "sssp", "1", "3"]) == 0
+        assert capsys.readouterr().out == "1 3 2\n"
+
+
 class TestEval:
     def test_rn(self, k4_summary, capsys):
         assert main(["eval", "--summary", str(k4_summary), "--metric", "rn"]) == 0

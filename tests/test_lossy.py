@@ -17,6 +17,7 @@ from graphsum import (
     build_superedges_lossy,
     build_weight_model,
     compute_utility,
+    degree_centrality,
     from_edges,
     full_candidate_list,
     merge_prefix,
@@ -28,7 +29,7 @@ from graphsum import (
 from graphsum.unionfind import UnionFind
 
 from conftest import random_graphs
-from generators import er_graph, path_graph, star_graph
+from generators import ba_graph, er_graph, path_graph, star_graph
 from oracles import pairwise_utility, two_hop_by_matrix_square
 
 
@@ -37,6 +38,22 @@ def perturbed_pagerank(g, seed=99, scale=1e-6):
     rng = random.Random(seed)
     scores = pagerank(g).scores + np.array([rng.random() * scale for _ in range(g.n)])
     return NodeCentrality(scores, "pagerank")
+
+
+def kruskal_over_full_list(g, c):
+    """Pairs and weights of the Kruskal forest over every 2-hop pair."""
+    full = full_candidate_list(g, c)
+    uf = UnionFind(g.n)
+    kept = [(p, w) for p, w in zip(full.pairs, full.weights) if uf.union(*p)]
+    return [p for p, _ in kept], [w for _, w in kept]
+
+
+def small_graph(family, seed):
+    rng = random.Random(seed)
+    n = rng.randint(5, 40)
+    if family == "er":
+        return er_graph(n, rng.choice([0.05, 0.1, 0.2, 0.4]), seed)
+    return ba_graph(n, rng.randint(1, 3), seed)
 
 
 def explicit_mst_weight(g, c):
@@ -384,3 +401,35 @@ class TestMstSufficiency:
 
         for k in (1, 3, 7, 15, len(forest)):
             assert labels_after(forest.pairs, k) == labels_after(full.pairs, k)
+
+    @pytest.mark.parametrize("centrality", [uniform_centrality, degree_centrality, pagerank])
+    @pytest.mark.parametrize("family", ["er", "ba"])
+    def test_forest_is_kruskal_over_full_list(self, family, centrality):
+        # uniform and degree scores tie everywhere: the forest must still be
+        # the one minimum forest under (weight, min id, max id)
+        for seed in range(30):
+            g = small_graph(family, seed)
+            c = centrality(g)
+            forest = two_hop_mst(g, c)
+            assert (forest.pairs, forest.weights) == kruskal_over_full_list(g, c), seed
+
+    def test_one_ulp_near_hub_star(self):
+        # C_1 is one ulp above the hub's C_2; 1.5 + C_1 rounds to 1.5 + C_2,
+        # so (0, 1) ties with the star pair (0, 2) and wins on ids
+        g = from_edges(4, [(3, 0), (3, 1), (3, 2)])
+        c = NodeCentrality(np.array([1.5, 1 + 2**-52, 1.0, 1.0]), "custom")
+        forest = two_hop_mst(g, c)
+        assert forest.pairs == [(1, 2), (0, 1)]
+        assert (forest.pairs, forest.weights) == kruskal_over_full_list(g, c)
+
+    @pytest.mark.parametrize("base", [1.0, 0.3, 1e-3, 7.0])
+    def test_scores_one_ulp_apart(self, base):
+        for seed in range(40):
+            rng = random.Random(seed)
+            g = er_graph(rng.randint(4, 20), rng.choice([0.2, 0.4, 0.6]), seed)
+            step = np.spacing(base)
+            c = NodeCentrality(
+                np.array([base + rng.randint(0, 3) * step for _ in range(g.n)]), "custom"
+            )
+            forest = two_hop_mst(g, c)
+            assert (forest.pairs, forest.weights) == kruskal_over_full_list(g, c), seed
