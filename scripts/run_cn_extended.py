@@ -7,9 +7,11 @@ of the top-20% query. The dataset is not bundled; download the edge list
 (one "src dst" pair per line) and pass its path.
 
 The two-hop spanning forest is cheap: Kruskal over at most 2m star pairs,
-never the sum of squared degrees of common-neighbor pairs. The wall time
-goes to the sweep, whose binary searches recompute the utility of a
-merged partition at every probe in pure Python.
+never the sum of squared degrees of common-neighbor pairs. Each probe of
+the sweep's binary searches replays the merge prefix in a Python
+union-find, then takes the utility of the merged partition in one numpy
+pass over the edges (about 0.05 s a probe on ba_graph(50000, 8, seed=7)
+with 2 cores).
 """
 
 from __future__ import annotations

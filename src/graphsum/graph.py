@@ -89,10 +89,19 @@ class Graph:
         return zip(u_list, v_list)
 
     @cached_property
-    def _edge_lists(self) -> tuple[list[int], list[int]]:
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The canonical edges of edges() as two read-only int64 arrays."""
         src = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.offsets))
         forward = src < self.targets
-        return src[forward].tolist(), self.targets[forward].tolist()
+        u, v = src[forward], self.targets[forward].astype(np.int64, copy=False)
+        u.setflags(write=False)
+        v.setflags(write=False)
+        return u, v
+
+    @cached_property
+    def _edge_lists(self) -> tuple[list[int], list[int]]:
+        u, v = self.edge_arrays
+        return u.tolist(), v.tolist()
 
     @cached_property
     def adjacency_lists(self) -> list[list[int]]:

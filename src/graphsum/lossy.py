@@ -9,6 +9,12 @@ pair list. Utility is non-increasing as the sorted forest edges are merged
 in order, so the largest merge prefix that keeps utility above the threshold
 is found by binary search, recomputing the union-find partition from scratch
 at every probe.
+
+A probe's utility, and the superedges of the final summary, come from one
+array pass over the edges: supernode labels by pointer jumping over the
+union-find parents, superpairs keyed lo*n + hi and grouped by np.unique,
+per-pair edge counts and weight sums by np.bincount in canonical edge
+order (the order of Graph.edges()), and the losses summed by math.fsum.
 """
 
 from __future__ import annotations
@@ -124,56 +130,50 @@ def merge_prefix(g: Graph, candidates: MergePairList, t: int) -> UnionFind:
     return uf
 
 
-def _superpair_accumulate(
-    g: Graph, model: EdgeWeightModel, uf: UnionFind
-) -> dict[tuple[int, int], list]:
-    """Per supernode pair: [actual edge count, summed actual edge weight]."""
-    scores = model.node_centrality.scores.tolist()
-    z = model.actual_norm
-    find = uf.find
-    acc: dict[tuple[int, int], list] = {}
-    for u, v in g.edges():
-        a, b = find(u), find(v)
-        pair = (a, b) if a <= b else (b, a)
-        entry = acc.get(pair)
-        weight = (scores[u] + scores[v]) / z
-        if entry is None:
-            acc[pair] = [1, weight]
-        else:
-            entry[0] += 1
-            entry[1] += weight
-    return acc
+def _root_labels(partition: UnionFind) -> np.ndarray:
+    """The root of every node, by pointer jumping over the parent array
+    (any UnionFind, path-compressed or not; the partition is not touched)."""
+    parent = np.array(partition.parent, dtype=np.int64)
+    while True:
+        jumped = parent[parent]
+        if np.array_equal(jumped, parent):
+            return parent
+        parent = jumped
 
 
-def _pair_costs(
-    pair: tuple[int, int], count: int, wsum: float, uf: UnionFind, w_s: float
-) -> tuple[float, float]:
-    """(cost of adding the superedge, cost of not adding it)."""
-    a, b = pair
-    if a == b:
-        size = uf.size[a]
-        spurious = size * (size - 1) // 2 - count
-    else:
-        spurious = uf.size[a] * uf.size[b] - count
-    return spurious * w_s, wsum
+def _superpair_costs(
+    g: Graph, model: EdgeWeightModel, labels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per supernode pair (a, b), a <= b, joined by at least one edge:
+    a, b, the cost of adding the superedge (spurious weight) and of
+    dropping it (actual weight). labels are any per-node ids below n."""
+    n = g.n
+    u, v = g.edge_arrays
+    scores = model.node_centrality.scores
+    weights = (scores[u] + scores[v]) / model.actual_norm
+    lu, lv = labels[u], labels[v]
+    keys, pair = np.unique(np.minimum(lu, lv) * n + np.maximum(lu, lv), return_inverse=True)
+    # bincount adds each pair's weights in canonical edge order
+    count = np.bincount(pair)
+    wsum = np.bincount(pair, weights=weights)
+    a, b = np.divmod(keys, n)
+    size = np.bincount(labels)
+    possible = np.where(a == b, size[a] * (size[a] - 1) // 2, size[a] * size[b])
+    return a, b, (possible - count) * model.spurious_weight, wsum
 
 
 def compute_utility(g: Graph, model: EdgeWeightModel, partition: UnionFind) -> float:
     """Utility of the summary induced by the partition, in [0, 1].
 
-    One pass over E accumulates, per supernode pair, the actual edge count
-    and weight; the pair then loses the cheaper of adding the superedge
+    One array pass over E groups the edges by supernode pair and sums, per
+    pair, the actual edge count and weight (np.bincount, in canonical edge
+    order); the pair then loses the cheaper of adding the superedge
     (spurious weight) or dropping it (actual weight). Pairs without actual
-    edges cost nothing. Accumulation order is fixed for determinism.
+    edges cost nothing. The losses are summed by math.fsum, which is
+    correctly rounded, so the result does not depend on pair order.
     """
-    acc = _superpair_accumulate(g, model, partition)
-    w_s = model.spurious_weight
-    losses = []
-    for pair in sorted(acc):
-        count, wsum = acc[pair]
-        sedge, nsedge = _pair_costs(pair, count, wsum, partition, w_s)
-        losses.append(min(sedge, nsedge))
-    value = 1.0 - math.fsum(losses)
+    _, _, sedge, nsedge = _superpair_costs(g, model, _root_labels(partition))
+    value = 1.0 - math.fsum(np.minimum(sedge, nsedge).tolist())
     return min(1.0, max(0.0, value))
 
 
@@ -183,18 +183,15 @@ def build_superedges_lossy(
     """Summary for a lossy partition: superedge iff adding costs no more
     than dropping (ties keep the superedge). No kind tags.
     """
-    acc = _superpair_accumulate(g, model, partition)
-    w_s = model.spurious_weight
-    labels = partition.labels()
-    root_to_label = {}
-    for u in range(g.n):
-        root_to_label[partition.find(u)] = labels[u]
-    superedges: set[tuple[int, int]] = set()
-    for pair, (count, wsum) in acc.items():
-        sedge, nsedge = _pair_costs(pair, count, wsum, partition, w_s)
-        if sedge <= nsedge:
-            a, b = root_to_label[pair[0]], root_to_label[pair[1]]
-            superedges.add((a, b) if a <= b else (b, a))
+    roots, first, inverse = np.unique(
+        _root_labels(partition), return_index=True, return_inverse=True
+    )
+    dense = np.empty(len(roots), dtype=np.int64)
+    dense[np.argsort(first)] = np.arange(len(roots))  # by first appearance
+    labels = dense[inverse]
+    a, b, sedge, nsedge = _superpair_costs(g, model, labels)
+    keep = sedge <= nsedge
+    superedges = set(zip(a[keep].tolist(), b[keep].tolist()))
     return partition_summary(labels, superedges, kinds_by_group=None)
 
 

@@ -205,9 +205,10 @@ def save_summary(s: Summary, outdir: str | Path, meta: dict[str, object] | None 
 def load_summary(indir: str | Path) -> Summary:
     """Read a summary directory, refusing one whose files disagree.
 
-    membership.txt must list each node 0..n-1 exactly once (n as in
-    meta.txt, when that records it) with dense supernode ids, and every
-    superedge must join known supernodes. Kinds follow from the structure:
+    membership.txt must list each node 0..n-1 exactly once with dense
+    supernode ids, and every superedge must join known supernodes. The
+    counts n, supernodes and superedges in meta.txt, where recorded, must
+    match the files. Kinds follow from the structure:
     a supernode of size 1 is a singleton, one with a self-superedge a
     clique, any other an independent set; kinds.txt, when present, must
     tag every supernode once with exactly that kind. Any violation raises
@@ -218,10 +219,8 @@ def load_summary(indir: str | Path) -> Summary:
     pairs = _read_pairs(path)
     nodes, n = pairs[:, 0], len(pairs)
     meta_path = src / "meta.txt"
-    if meta_path.exists():
-        meta_n = read_meta(meta_path).get("n")
-        if meta_n is not None and meta_n != str(n):
-            raise _corrupt(path, f"{n} nodes listed, meta.txt records n={meta_n}")
+    meta = read_meta(meta_path) if meta_path.exists() else {}
+    _check_count(path, meta, "n", n, "nodes")
     bad = nodes[(nodes < 0) | (nodes >= n)]
     if bad.size:
         raise _corrupt(path, f"node id {bad[0]} out of range 0..{n - 1}")
@@ -236,6 +235,7 @@ def load_summary(indir: str | Path) -> Summary:
     if np.any(sizes == 0):
         raise _corrupt(path, f"supernode id {np.argmin(sizes)} is unused")
     k = len(sizes)
+    _check_count(path, meta, "supernodes", k, "supernodes")
     path = src / "superedges.txt"
     pairs = _read_pairs(path)
     unknown = pairs[((pairs < 0) | (pairs >= k)).any(axis=1)]
@@ -243,6 +243,7 @@ def load_summary(indir: str | Path) -> Summary:
         a, b = unknown[0].tolist()
         raise _corrupt(path, f"superedge ({a},{b}) names an unknown supernode")
     superedges = set(zip(pairs.min(axis=1).tolist(), pairs.max(axis=1).tolist()))
+    _check_count(path, meta, "superedges", len(superedges), "distinct superedges")
     kinds = None
     path = src / "kinds.txt"
     if path.exists():
@@ -257,6 +258,13 @@ def load_summary(indir: str | Path) -> Summary:
     for u, sid in enumerate(membership.tolist()):
         supernodes[sid].append(u)
     return Summary(membership, supernodes, superedges, kinds)
+
+
+def _check_count(path: Path, meta: dict[str, str], key: str, count: int, what: str) -> None:
+    """A count meta.txt records must equal the one the file gives."""
+    recorded = meta.get(key)
+    if recorded is not None and recorded != str(count):
+        raise _corrupt(path, f"{count} {what} listed, meta.txt records {key}={recorded}")
 
 
 def _check_kinds(path: Path, kinds: list[str]) -> None:

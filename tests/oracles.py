@@ -3,7 +3,7 @@
 Each oracle takes a route through the problem that shares no code with the
 implementation it checks: dense matrices instead of adjacency sweeps,
 exhaustive enumeration instead of hashing, pairwise scans instead of
-superpair accumulators.
+superpair accumulators, a per-edge dict loop instead of array grouping.
 """
 
 from __future__ import annotations
@@ -158,3 +158,61 @@ def pairwise_utility(g: Graph, model: EdgeWeightModel, labels) -> float:
         drop_cost = actual.get(key, 0.0)
         loss += min(add_cost, drop_cost)
     return 1.0 - loss
+
+
+def superpair_loop(g: Graph, model: EdgeWeightModel, uf) -> dict[tuple[int, int], list]:
+    """Per pair of union-find roots (a <= b): [actual edge count, summed
+    actual edge weight], one find pair and dict update per edge, in the
+    order of g.edges(). The reference accumulation of the array pass."""
+    scores = model.node_centrality.scores.tolist()
+    z = model.actual_norm
+    acc: dict[tuple[int, int], list] = {}
+    for u, v in g.edges():
+        a, b = uf.find(u), uf.find(v)
+        pair = (a, b) if a <= b else (b, a)
+        entry = acc.get(pair)
+        weight = (scores[u] + scores[v]) / z
+        if entry is None:
+            acc[pair] = [1, weight]
+        else:
+            entry[0] += 1
+            entry[1] += weight
+    return acc
+
+
+def _loop_costs(pair, count, wsum, uf, w_s) -> tuple[float, float]:
+    """(cost of adding the superedge, cost of dropping it)."""
+    a, b = pair
+    if a == b:
+        spurious = uf.size[a] * (uf.size[a] - 1) // 2 - count
+    else:
+        spurious = uf.size[a] * uf.size[b] - count
+    return spurious * w_s, wsum
+
+
+def loop_utility(g: Graph, model: EdgeWeightModel, uf) -> float:
+    """compute_utility by the per-edge loop; compresses uf's paths."""
+    acc = superpair_loop(g, model, uf)
+    losses = [
+        min(_loop_costs(pair, count, wsum, uf, model.spurious_weight))
+        for pair, (count, wsum) in sorted(acc.items())
+    ]
+    return min(1.0, max(0.0, 1.0 - math.fsum(losses)))
+
+
+def loop_lossy_superedges(
+    g: Graph, model: EdgeWeightModel, uf
+) -> tuple[list[int], set[tuple[int, int]]]:
+    """(membership, superedges) of build_superedges_lossy by the per-edge
+    loop: labels by first appearance, superedge iff adding costs no more
+    than dropping. Compresses uf's paths."""
+    acc = superpair_loop(g, model, uf)
+    labels = uf.labels()
+    root_to_label = {uf.find(u): labels[u] for u in range(g.n)}
+    superedges = set()
+    for pair, (count, wsum) in acc.items():
+        sedge, nsedge = _loop_costs(pair, count, wsum, uf, model.spurious_weight)
+        if sedge <= nsedge:
+            a, b = root_to_label[pair[0]], root_to_label[pair[1]]
+            superedges.add((a, b) if a <= b else (b, a))
+    return labels, superedges

@@ -253,6 +253,26 @@ class TestCorruptSummary:
         assert main(["query", "--summary", str(cycle4_summary), "triangles"]) == 3
         assert "kinds.txt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "superedges", ["", "0 1\n0 0\n"], ids=["dropped-line", "extra-line"]
+    )
+    def test_superedge_count_contradicting_meta(self, cycle4_summary, capsys, superedges):
+        # meta.txt records superedges 1; the file has just the line "0 1"
+        (cycle4_summary / "superedges.txt").write_text(superedges)
+        assert main(["query", "--summary", str(cycle4_summary), "sssp", "0", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "superedges.txt" in captured.err and "superedges=1" in captured.err
+
+    def test_supernode_count_contradicting_meta(self, cycle4_summary, capsys):
+        meta = cycle4_summary / "meta.txt"
+        assert "supernodes 2\n" in meta.read_text()
+        meta.write_text(meta.read_text().replace("supernodes 2\n", "supernodes 3\n"))
+        assert main(["query", "--summary", str(cycle4_summary), "sssp", "0", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "membership.txt" in captured.err and "supernodes=3" in captured.err
+
     def test_intact_summary_still_answers(self, cycle4_summary, capsys):
         assert main(["query", "--summary", str(cycle4_summary), "sssp", "1", "3"]) == 0
         assert capsys.readouterr().out == "1 3 2\n"

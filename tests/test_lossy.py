@@ -30,7 +30,12 @@ from graphsum.unionfind import UnionFind
 
 from conftest import random_graphs
 from generators import ba_graph, er_graph, path_graph, star_graph
-from oracles import pairwise_utility, two_hop_by_matrix_square
+from oracles import (
+    loop_lossy_superedges,
+    loop_utility,
+    pairwise_utility,
+    two_hop_by_matrix_square,
+)
 
 
 def perturbed_pagerank(g, seed=99, scale=1e-6):
@@ -433,3 +438,71 @@ class TestMstSufficiency:
             )
             forest = two_hop_mst(g, c)
             assert (forest.pairs, forest.weights) == kruskal_over_full_list(g, c), seed
+
+
+def assert_matches_loop(g, model, uf):
+    """The array pass equals the per-edge loop oracle exactly."""
+    utility = compute_utility(g, model, uf)
+    s = build_superedges_lossy(g, model, uf)
+    assert utility == loop_utility(g, model, uf)  # exact, not approx
+    labels, superedges = loop_lossy_superedges(g, model, uf)
+    assert s.membership.tolist() == labels
+    assert s.superedges == superedges
+
+
+class TestArrayPassMatchesLoop:
+    @pytest.mark.parametrize("centrality", [uniform_centrality, degree_centrality, pagerank])
+    @pytest.mark.parametrize("family", ["er", "ba"])
+    def test_every_forest_prefix(self, family, centrality):
+        # uniform and degree scores tie everywhere, so many pairs share weights
+        for seed in range(60):
+            g = small_graph(family, seed)
+            if g.m == 0 or g.m == g.n * (g.n - 1) // 2:
+                continue
+            model = build_weight_model(g, centrality(g))
+            forest = two_hop_mst(g, model.node_centrality)
+            for t in range(len(forest) + 1):
+                assert_matches_loop(g, model, merge_prefix(g, forest, t))
+
+    @pytest.mark.parametrize("compress", [False, True], ids=["deep", "compressed"])
+    def test_unions_in_random_order(self, compress):
+        for seed in range(10):
+            rng = random.Random(seed)
+            g = er_graph(50, 0.12, seed)
+            model = build_weight_model(g, pagerank(g))
+            uf = UnionFind(g.n)
+            for _ in range(rng.randint(5, 60)):
+                uf.union(rng.randrange(g.n), rng.randrange(g.n))
+                if compress:
+                    uf.find(rng.randrange(g.n))
+            assert_matches_loop(g, model, uf)
+
+    def test_chain_parents(self):
+        # a parent chain deeper than union by size ever builds
+        g = er_graph(40, 0.15, 5)
+        model = build_weight_model(g, degree_centrality(g))
+        uf = UnionFind(g.n)
+        uf.parent = [0] + list(range(30)) + list(range(31, 40))
+        uf.size = [31] + [1] * 39
+        assert_matches_loop(g, model, uf)
+
+    def test_isolated_nodes(self):
+        g = from_edges(14, [(1, 3), (3, 5), (5, 1), (7, 9), (9, 11), (3, 9)])
+        model = build_weight_model(g, uniform_centrality(g))
+        for pairs in ([], [(0, 2)], [(0, 1), (4, 3)], [(1, 7), (13, 5), (2, 11), (6, 8)]):
+            uf = UnionFind(g.n)
+            for a, b in pairs:
+                uf.union(a, b)
+            assert_matches_loop(g, model, uf)
+
+    def test_pair_keys_beyond_int32(self):
+        # lo*n + hi exceeds 2**31 once both supernodes sit above node 46341
+        n = 50_000
+        rng = random.Random(4)
+        edges = [(rng.randrange(46_000, n), rng.randrange(46_000, n)) for _ in range(3000)]
+        g = from_edges(n, edges)
+        model = build_weight_model(g, degree_centrality(g))
+        uf = UnionFind(n)
+        for _ in range(1500):
+            uf.union(rng.randrange(46_000, n), rng.randrange(46_000, n))
+        assert_matches_loop(g, model, uf)
