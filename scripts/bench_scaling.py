@@ -5,6 +5,8 @@ plus summary-side vs original-side query times.
 Prints one aligned table. Doubling the edge count at fixed density should
 roughly double the linear passes (summarize, compute_utility) and the
 summary-side Pagerank should touch far fewer units than the original.
+`sum_sp_ms` is the median of 50 seeded summary-side shortest_path_length
+calls on one summary, in milliseconds.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ def er_np(n: int, p: float, seed: int) -> gs.Graph:
     return gs.from_edges(n, zip(iu[mask].tolist(), iv[mask].tolist()))
 
 
+SP_CALLS = 50
+
+
 def median_time(fn, runs: int) -> float:
     samples = []
     for _ in range(runs):
@@ -49,7 +54,10 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=4242)
     args = parser.parse_args()
 
-    print(f"{'n':>7} {'m':>9} {'summarize':>10} {'utility':>9} {'sum_pr':>8} {'orig_pr':>8}")
+    print(
+        f"{'n':>7} {'m':>9} {'summarize':>10} {'utility':>9} {'sum_pr':>8} {'orig_pr':>8}"
+        f" {'sum_sp_ms':>9}"
+    )
     n = args.base_n
     for _ in range(args.doublings):
         g = er_np(n, args.p, args.seed)
@@ -64,7 +72,14 @@ def main() -> int:
         t_util = median_time(lambda: gs.compute_utility(g, model, uf), args.runs)
         t_spr = median_time(lambda: gs.pagerank_on_summary(s, 0.85), args.runs)
         t_opr = median_time(lambda: gs.pagerank(g, 0.85), args.runs)
-        print(f"{g.n:>7} {g.m:>9} {t_sum:>10.4f} {t_util:>9.4f} {t_spr:>8.4f} {t_opr:>8.4f}")
+        pairs = [(rng.randrange(g.n), rng.randrange(g.n)) for _ in range(SP_CALLS)]
+        t_ssp = statistics.median(
+            median_time(lambda: gs.shortest_path_length(s, u, v), 1) for u, v in pairs
+        )
+        print(
+            f"{g.n:>7} {g.m:>9} {t_sum:>10.4f} {t_util:>9.4f} {t_spr:>8.4f} {t_opr:>8.4f}"
+            f" {1e3 * t_ssp:>9.3f}"
+        )
         n = round(n * 2 ** 0.5)
     return 0
 

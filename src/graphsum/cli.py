@@ -212,6 +212,12 @@ def cmd_query(args) -> int:
         if args.u is None or args.v is None:
             print("error: sssp needs node ids u and v", file=sys.stderr)
             return EXIT_USAGE
+        if not (0 <= args.u < s.n and 0 <= args.v < s.n):
+            print(
+                f"error: node pair ({args.u},{args.v}) out of range for n={s.n}",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
         d = queries.shortest_path_length(s, args.u, args.v)
         text = "inf" if math.isinf(d) else str(int(d))
         _emit([f"{args.u} {args.v} {text}"], args.out, "distance.txt")

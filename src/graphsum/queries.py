@@ -5,14 +5,17 @@ Triangles come in three shapes: all three corners inside one clique
 supernode (a), an edge inside a clique plus one outside corner (b), and
 one corner in each of three mutually adjacent supernodes (c). Pagerank
 runs on supernode totals (every member of a supernode provably holds the
-same score). Shortest paths reduce to BFS over the summary plus a
-constant-time same-supernode case split.
+same score). Shortest paths reduce to a level-synchronous BFS over the
+supernode graph plus a constant-time same-supernode case split.
+
+All three read the supernode graph that Summary.super_adjacency() builds
+once per summary and caches: an ordinary immutable Graph over supernodes
+whose edges are the cross superedges.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterator
@@ -42,19 +45,19 @@ class TriangleReport:
         return self.count_a + self.count_b + self.count_c
 
 
-def _super_triangles(s: Summary) -> Iterator[tuple[int, int, int]]:
-    """Triangles of the summary graph itself, self-superedges excluded.
+def _super_triangles(adj: list[list[int]]) -> Iterator[tuple[int, int, int]]:
+    """Triangles of the supernode graph given as neighbor lists.
 
     Degree-ordered neighbor intersection; each super-triangle appears once,
     ordered by ascending rank.
     """
-    adj = s.super_adjacency()
+    k = len(adj)
     adj_sets = [set(row) for row in adj]
-    rank = sorted(range(s.num_supernodes), key=lambda x: (len(adj[x]), x))
-    pos = [0] * s.num_supernodes
+    rank = sorted(range(k), key=lambda x: (len(adj[x]), x))
+    pos = [0] * k
     for i, x in enumerate(rank):
         pos[x] = i
-    for x in range(s.num_supernodes):
+    for x in range(k):
         for y in adj[x]:
             if pos[y] <= pos[x]:
                 continue
@@ -72,7 +75,7 @@ def count_triangles(s: Summary) -> TriangleReport:
     """Triangle totals per type; the grand total equals the original graph's."""
     _require_lossless(s)
     kinds = s.kinds
-    adj = s.super_adjacency()
+    adj = s.super_adjacency().adjacency_lists
     count_a = 0
     count_b = 0
     for x in range(s.num_supernodes):
@@ -84,7 +87,7 @@ def count_triangles(s: Summary) -> TriangleReport:
         for y in adj[x]:
             count_b += pairs_in_x * s.size(y)
     count_c = 0
-    for x, y, z in _super_triangles(s):
+    for x, y, z in _super_triangles(adj):
         count_c += s.size(x) * s.size(y) * s.size(z)
     return TriangleReport(count_a, count_b, count_c)
 
@@ -99,7 +102,7 @@ def enumerate_triangles(
     """
     _require_lossless(s)
     kinds = s.kinds
-    adj = s.super_adjacency()
+    adj = s.super_adjacency().adjacency_lists
     for x in range(s.num_supernodes):
         if kinds[x] == KIND_CLIQUE:
             for triple in combinations(s.members(x), 3):
@@ -111,7 +114,7 @@ def enumerate_triangles(
             for y in adj[x]:
                 for w in s.members(y):
                     sink(tuple(sorted((pair[0], pair[1], w))))
-    for x, y, z in sorted(_super_triangles(s)):
+    for x, y, z in sorted(_super_triangles(adj)):
         for u in s.members(x):
             for v in s.members(y):
                 for w in s.members(z):
@@ -151,15 +154,11 @@ def pagerank_on_summary(
     if tol <= 0:
         raise ValueError("tol must be positive")
     k = s.num_supernodes
-    sizes = np.array([s.size(x) for x in range(k)], dtype=np.float64)
+    sizes = np.bincount(s.membership, minlength=k).astype(np.float64)
     clique = np.array([kind == KIND_CLIQUE for kind in s.kinds], dtype=bool)
-    adj = s.super_adjacency()
-    flat = np.array(
-        [y for row in adj for y in row], dtype=np.int64
-    )
-    src = np.repeat(
-        np.arange(k, dtype=np.int64), np.array([len(row) for row in adj], dtype=np.int64)
-    )
+    sg = s.super_adjacency()
+    flat = sg.targets
+    src = np.repeat(np.arange(k, dtype=np.int64), sg.degrees)
 
     w = np.zeros(k)
     if len(flat):
@@ -196,9 +195,10 @@ def shortest_path_length(s: Summary, u: int, v: int) -> float:
 
     Same supernode: 1 inside a clique; 2 inside an independent set that has
     at least one neighbor (any neighbor is shared), else unreachable.
-    Different supernodes: BFS distance between them in the summary, since a
-    shortest path never revisits a supernode. Returns math.inf when
-    unreachable.
+    Different supernodes: their distance in the supernode graph, since a
+    shortest path never revisits a supernode, found by a level-synchronous
+    BFS that stops at the first level holding a neighbor of v's supernode.
+    Returns an int, or math.inf when unreachable.
     """
     _require_lossless(s)
     if not (0 <= u < s.n and 0 <= v < s.n):
@@ -206,19 +206,26 @@ def shortest_path_length(s: Summary, u: int, v: int) -> float:
     if u == v:
         return 0
     su, sv = s.supernode_of(u), s.supernode_of(v)
-    adj = s.super_adjacency()
+    sg = s.super_adjacency()
     if su == sv:
         if s.kinds[su] == KIND_CLIQUE:
             return 1
-        return 2 if adj[su] else math.inf
-    dist = {su: 0}
-    queue = deque([su])
-    while queue:
-        x = queue.popleft()
-        if x == sv:
-            return dist[x]
-        for y in adj[x]:
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                queue.append(y)
+        return 2 if sg.degrees[su] else math.inf
+    offsets, targets = sg.offsets, sg.targets
+    last_hop = sg.neighbors(sv)
+    seen = np.zeros(sg.n, dtype=bool)
+    seen[su] = True
+    frontier = np.array([su], dtype=np.int64)
+    depth = 0
+    while frontier.size:
+        if seen[last_hop].any():
+            return depth + 1
+        depth += 1
+        starts = offsets[frontier]
+        counts = offsets[frontier + 1] - starts
+        ends = np.cumsum(counts)
+        slots = np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
+        reached = targets[slots]
+        frontier = np.unique(reached[~seen[reached]])
+        seen[frontier] = True
     return math.inf

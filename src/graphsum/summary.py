@@ -13,6 +13,7 @@ and each self superedge to a clique.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -39,12 +40,15 @@ class Summary:
     by first appearance over nodes 0..n-1. kinds is present only for
     lossless summaries (one tag per supernode). Treat instances as
     immutable once built: queries never mutate them and share them freely.
+    The supernode graph of super_adjacency() is built on first use; two
+    concurrent readers may both build it, and get equal immutable graphs.
     """
 
     membership: np.ndarray = field(repr=False)
     supernodes: list[list[int]] = field(repr=False)
     superedges: set[tuple[int, int]] = field(repr=False)
     kinds: list[str] | None = None
+    _super_graph: Graph | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.membership = np.asarray(self.membership, dtype=np.int64)
@@ -93,16 +97,15 @@ class Summary:
     def has_self_loop(self, sid: int) -> bool:
         return (sid, sid) in self.superedges
 
-    def super_adjacency(self) -> list[list[int]]:
-        """Sorted cross-neighbor lists over supernodes; self-loops excluded."""
-        adj: list[list[int]] = [[] for _ in range(self.num_supernodes)]
-        for a, b in self.superedges:
-            if a != b:
-                adj[a].append(b)
-                adj[b].append(a)
-        for row in adj:
-            row.sort()
-        return adj
+    def super_adjacency(self) -> Graph:
+        """The graph over supernodes whose edges are the cross superedges.
+
+        Self-superedges are left out. Built on the first call and cached on
+        the instance; like every Graph it is immutable.
+        """
+        if self._super_graph is None:
+            self._super_graph = _supernode_graph(self.num_supernodes, self.superedges)
+        return self._super_graph
 
     def implied_edge_count(self) -> int:
         """Number of edges a reconstruction would materialize."""
@@ -114,6 +117,21 @@ class Summary:
             else:
                 total += self.size(a) * self.size(b)
         return total
+
+
+def _supernode_graph(k: int, superedges: set[tuple[int, int]]) -> Graph:
+    """CSR over k supernodes from the cross pairs of a canonical pair set."""
+    flat = np.fromiter(
+        itertools.chain.from_iterable(superedges), dtype=np.int64, count=2 * len(superedges)
+    )
+    a, b = flat[0::2], flat[1::2]
+    cross = a != b
+    src = np.concatenate([a[cross], b[cross]])
+    dst = np.concatenate([b[cross], a[cross]])
+    order = np.argsort(src * k + dst)
+    offsets = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=k), out=offsets[1:])
+    return Graph(offsets, dst[order])
 
 
 def partition_summary(

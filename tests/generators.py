@@ -6,6 +6,7 @@ exactly the same graph on every run.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
@@ -50,6 +51,29 @@ def ba_graph(n: int, m: int, seed: int) -> Graph:
             chosen.add(repeated[rng.randrange(len(repeated))])
         targets = sorted(chosen)
     return from_edges(n, edges)
+
+
+def twin_rich_graph(seed: int) -> Graph:
+    """Two components, each a random tree of blocks plus extra block pairs,
+    then two isolated nodes. Blocks alternate between cliques and
+    independent sets of 1 to 4 nodes and join their neighbor blocks
+    completely, so the nodes of one block are twins."""
+    rng = random.Random(seed)
+    edges: list[tuple[int, int]] = []
+    n = 0
+    for _ in range(2):
+        blocks: list[range] = []
+        for b in range(rng.randint(3, 6)):
+            block = range(n, n + rng.randint(1, 4))
+            n = block.stop
+            if b % 2 == 0:
+                edges.extend(itertools.combinations(block, 2))
+            parent = rng.randrange(len(blocks)) if blocks else -1
+            for i, other in enumerate(blocks):
+                if i == parent or rng.random() < 0.25:
+                    edges.extend(itertools.product(block, other))
+            blocks.append(block)
+    return from_edges(n + 2, edges)
 
 
 def path_graph(n: int) -> Graph:

@@ -14,7 +14,7 @@ from collections import deque
 
 import numpy as np
 
-from graphsum import EdgeWeightModel, Graph
+from graphsum import EdgeWeightModel, Graph, Summary
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -23,6 +23,19 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
         a[u, v] = 1
         a[v, u] = 1
     return a
+
+
+def super_adjacency_lists(s: Summary) -> list[list[int]]:
+    """Sorted cross-neighbor lists over supernodes, self-superedges
+    excluded, by a loop over the superedge set."""
+    adj: list[list[int]] = [[] for _ in range(s.num_supernodes)]
+    for a, b in s.superedges:
+        if a != b:
+            adj[a].append(b)
+            adj[b].append(a)
+    for row in adj:
+        row.sort()
+    return adj
 
 
 def two_hop_by_matrix_square(g: Graph, v: int) -> set[int]:

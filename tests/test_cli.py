@@ -196,6 +196,13 @@ class TestQuery:
     def test_sssp_without_ids_usage_error(self, k4_summary):
         assert main(["query", "--summary", str(k4_summary), "sssp"]) == 2
 
+    @pytest.mark.parametrize("u, v", [(5, 11), (0, 4), (4, 0)])
+    def test_sssp_out_of_range_ids_usage_error(self, k4_summary, capsys, u, v):
+        assert main(["query", "--summary", str(k4_summary), "sssp", str(u), str(v)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"node pair ({u},{v}) out of range for n=4" in captured.err
+
     def test_lossy_summary_unsupported(self, lossy_dir):
         assert main(["query", "--summary", str(lossy_dir), "triangles"]) == 3
         assert main(["query", "--summary", str(lossy_dir), "pagerank"]) == 3

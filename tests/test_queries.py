@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from graphsum import (
     count_triangles,
     enumerate_triangles,
     from_edges,
+    load_summary,
     pagerank,
     pagerank_on_summary,
+    save_summary,
     shortest_path_length,
     summarize,
     summarize_lossy,
@@ -22,8 +25,36 @@ from graphsum import (
 )
 
 from conftest import random_graphs
-from generators import complete_graph, er_graph, star_graph
-from oracles import bfs_distances, triangle_count_matrix, triangle_set_enumeration
+from generators import (
+    ba_graph,
+    complete_graph,
+    er_graph,
+    path_graph,
+    star_graph,
+    twin_rich_graph,
+)
+from oracles import (
+    bfs_distances,
+    super_adjacency_lists,
+    triangle_count_matrix,
+    triangle_set_enumeration,
+)
+
+# Small graphs on which every ordered node pair is checked: twin-rich
+# blow-ups (clique and independent-set supernodes, isolated nodes, two
+# components) and the plain generators.
+SMALL_GRAPHS = {
+    **{f"twins{seed}": partial(twin_rich_graph, seed) for seed in range(6)},
+    **{f"er{seed}": partial(er_graph, 30, 0.08, seed) for seed in range(3)},
+    **{f"ba{seed}": partial(ba_graph, 30, 2, seed) for seed in range(3)},
+    "star": partial(star_graph, 7),
+    "path": partial(path_graph, 12),
+}
+
+
+@pytest.fixture(params=sorted(SMALL_GRAPHS))
+def small_graph(request):
+    return SMALL_GRAPHS[request.param]()
 
 
 @pytest.fixture
@@ -158,3 +189,51 @@ class TestShortestPaths:
     def test_lossy_summary_rejected(self, lossy_summary):
         with pytest.raises(UnsupportedSummaryError):
             shortest_path_length(lossy_summary, 0, 1)
+
+    def test_every_pair_matches_bfs(self, small_graph):
+        g = small_graph
+        s = summarize(g)
+        for u in range(g.n):
+            expected = bfs_distances(g, u)
+            for v in range(g.n):
+                d = shortest_path_length(s, u, v)
+                assert d == expected[v], (u, v)
+                assert type(d) is int or d == math.inf
+
+    def test_twin_rich_graphs_cover_every_case(self):
+        for seed in range(6):
+            g = twin_rich_graph(seed)
+            s = summarize(g)
+            kinds = {kind for kind, members in zip(s.kinds, s.supernodes) if len(members) > 1}
+            assert kinds == {"clique", "independent_set"}
+            assert g.degree(g.n - 1) == g.degree(g.n - 2) == 0
+            assert math.inf in bfs_distances(g, 0)[: g.n - 2]
+
+
+class TestSupernodeGraph:
+    def test_rows_match_loop_oracle(self, small_graph, tmp_path):
+        s = summarize(small_graph)
+        save_summary(s, tmp_path)
+        loaded = load_summary(tmp_path)
+        for summary in (s, loaded):
+            sg = summary.super_adjacency()
+            assert sg.n == summary.num_supernodes
+            assert sg.adjacency_lists == super_adjacency_lists(summary)
+
+    def test_cached_and_read_only(self):
+        s = summarize(twin_rich_graph(0))
+        sg = s.super_adjacency()
+        assert s.super_adjacency() is sg
+        assert not sg.offsets.flags.writeable
+        assert not sg.targets.flags.writeable
+
+    @pytest.mark.parametrize(
+        "g",
+        [complete_graph(4), from_edges(7, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])],
+        ids=["k4", "two-triangles"],
+    )
+    def test_no_cross_superedge_gives_empty_graph(self, g):
+        s = summarize(g)
+        assert s.superedges and all(a == b for a, b in s.superedges)
+        sg = s.super_adjacency()
+        assert (sg.n, sg.m) == (s.num_supernodes, 0)
