@@ -11,16 +11,17 @@ comparison, mop up singletons and build superedges in one edge sweep.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Iterable
+
+import numpy as np
 
 from .graph import Graph
 from .summary import (
     KIND_CLIQUE,
     KIND_INDEPENDENT_SET,
-    KIND_SINGLETON,
     Summary,
-    dense_labels,
-    partition_summary,
+    relabel_by_first_appearance,
 )
 
 DEFAULT_SEED = 42
@@ -98,16 +99,15 @@ def filter_supernodes(
     g: Graph,
     buckets: dict[int, list[int]],
     kind: str,
-    pivot_choice: Callable[[list[int]], int] | None = None,
     skip: set[int] | None = None,
 ) -> list[list[int]]:
     """Exact-match each bucket into true supernodes of size >= 2.
 
-    A pivot u is drawn from the bucket (minimum id by default; the emitted
-    groups do not depend on the choice) and every remaining node whose
-    exact (closed) neighborhood matches the pivot's joins its group. Nodes
-    left alone fall out and become singletons later. `skip` drops nodes
-    already claimed by an earlier filtering pass.
+    The minimum-id node u left in the bucket is the pivot, and every other
+    node left whose exact (closed) neighborhood matches u's joins its group;
+    the groups do not depend on the bucket's order. Nodes left alone fall
+    out and become singletons later. `skip` drops nodes already claimed by
+    an earlier filtering pass.
     """
     if kind not in (KIND_CLIQUE, KIND_INDEPENDENT_SET):
         raise ValueError(f"unknown filter kind {kind!r}")
@@ -123,7 +123,7 @@ def filter_supernodes(
             keys[v] = _closed_tuple(nbrs, v) if use_closed else tuple(nbrs)
         remaining = set(pending)
         while remaining:
-            u = pivot_choice(sorted(remaining)) if pivot_choice else min(remaining)
+            u = min(remaining)
             remaining.discard(u)
             group = [u] + [v for v in sorted(remaining) if keys[v] == keys[u]]
             if len(group) >= 2:
@@ -136,38 +136,27 @@ def build_superedges_lossless(g: Graph, membership) -> set[tuple[int, int]]:
     """One pass over E: a superedge exists iff some original edge crosses it.
 
     Intra-supernode edges (clique members) yield the self superedge.
+    Superpairs are keyed lo*k + hi and made distinct by one sort (a plain
+    np.unique takes a far slower hashing path on int64 in numpy 2.4).
     """
-    labels = list(membership)
-    superedges: set[tuple[int, int]] = set()
-    for u, v in g.edges():
-        a, b = labels[u], labels[v]
-        superedges.add((a, b) if a <= b else (b, a))
-    return superedges
+    labels = np.asarray(membership, dtype=np.int64)
+    k = int(labels.max(initial=0)) + 1
+    u, v = g.edge_arrays
+    lu, lv = labels[u], labels[v]
+    keys = np.sort(np.minimum(lu, lv) * k + np.maximum(lu, lv))
+    a, b = np.divmod(keys[np.diff(keys, prepend=-1) != 0], k)
+    return set(zip(a.tolist(), b.tolist()))
 
 
 def _assemble(g: Graph, clique_groups, is_groups) -> Summary:
-    grouped: set[int] = set()
-    groups: list[list[int]] = []
-    kinds: list[str] = []
-    for grp in clique_groups:
-        groups.append(grp)
-        kinds.append(KIND_CLIQUE)
-        grouped.update(grp)
-    for grp in is_groups:
-        groups.append(grp)
-        kinds.append(KIND_INDEPENDENT_SET)
-        grouped.update(grp)
-    for u in range(g.n):
-        if u not in grouped:
-            groups.append([u])
-            kinds.append(KIND_SINGLETON)
-    labels = dense_labels(groups, g.n)
-    # dense_labels renumbers by first appearance; permute kinds to match
-    kind_of_group: dict[int, str] = {}
-    for grp, kind in zip(groups, kinds):
-        kind_of_group[labels[grp[0]]] = kind
-    superedges = build_superedges_lossless(g, labels)
-    return partition_summary(labels, superedges, kind_of_group)
+    """Lossless summary of disjoint groups, every other node a singleton.
+    The kinds follow from the superedges: clique groups get self-superedges."""
+    groups = clique_groups + is_groups
+    raw = np.arange(len(groups), len(groups) + g.n)  # singletons by default
+    grouped = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.int64)
+    raw[grouped] = np.repeat(np.arange(len(groups)), [len(grp) for grp in groups])
+    labels = relabel_by_first_appearance(raw)
+    return Summary(labels, build_superedges_lossless(g, labels), is_lossless=True)
 
 
 def summarize(g: Graph, seed: int = DEFAULT_SEED) -> Summary:

@@ -27,7 +27,7 @@ import numpy as np
 from .centrality import EdgeWeightModel, NodeCentrality
 from .errors import CapExceededError
 from .graph import Graph
-from .summary import Summary, partition_summary
+from .summary import Summary, relabel_by_first_appearance
 from .unionfind import UnionFind
 
 DEFAULT_PAIR_CAP = 5_000_000
@@ -183,16 +183,11 @@ def build_superedges_lossy(
     """Summary for a lossy partition: superedge iff adding costs no more
     than dropping (ties keep the superedge). No kind tags.
     """
-    roots, first, inverse = np.unique(
-        _root_labels(partition), return_index=True, return_inverse=True
-    )
-    dense = np.empty(len(roots), dtype=np.int64)
-    dense[np.argsort(first)] = np.arange(len(roots))  # by first appearance
-    labels = dense[inverse]
+    labels = relabel_by_first_appearance(_root_labels(partition))
     a, b, sedge, nsedge = _superpair_costs(g, model, labels)
     keep = sedge <= nsedge
     superedges = set(zip(a[keep].tolist(), b[keep].tolist()))
-    return partition_summary(labels, superedges, kinds_by_group=None)
+    return Summary(labels, superedges)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .summary import KIND_CLIQUE, Summary
 
 
 def _require_lossless(s: Summary) -> None:
-    if s.kinds is None:
+    if not s.is_lossless:
         raise UnsupportedSummaryError(
             "query needs a lossless summary with clique/IS kind tags"
         )
@@ -75,20 +75,21 @@ def count_triangles(s: Summary) -> TriangleReport:
     """Triangle totals per type; the grand total equals the original graph's."""
     _require_lossless(s)
     kinds = s.kinds
+    sizes = s.sizes.tolist()
     adj = s.super_adjacency().adjacency_lists
     count_a = 0
     count_b = 0
     for x in range(s.num_supernodes):
         if kinds[x] != KIND_CLIQUE:
             continue
-        k = s.size(x)
+        k = sizes[x]
         count_a += k * (k - 1) * (k - 2) // 6
         pairs_in_x = k * (k - 1) // 2
         for y in adj[x]:
-            count_b += pairs_in_x * s.size(y)
+            count_b += pairs_in_x * sizes[y]
     count_c = 0
     for x, y, z in _super_triangles(adj):
-        count_c += s.size(x) * s.size(y) * s.size(z)
+        count_c += sizes[x] * sizes[y] * sizes[z]
     return TriangleReport(count_a, count_b, count_c)
 
 
@@ -154,7 +155,7 @@ def pagerank_on_summary(
     if tol <= 0:
         raise ValueError("tol must be positive")
     k = s.num_supernodes
-    sizes = np.bincount(s.membership, minlength=k).astype(np.float64)
+    sizes = s.sizes.astype(np.float64)
     clique = np.array([kind == KIND_CLIQUE for kind in s.kinds], dtype=bool)
     sg = s.super_adjacency()
     flat = sg.targets

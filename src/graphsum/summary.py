@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -36,38 +36,46 @@ DEFAULT_RECONSTRUCT_CAP = 50_000_000
 class Summary:
     """Partition of the nodes into supernodes plus a superedge set.
 
-    membership[u] is the supernode id of node u; ids are dense, numbered
-    by first appearance over nodes 0..n-1. kinds is present only for
-    lossless summaries (one tag per supernode). Treat instances as
-    immutable once built: queries never mutate them and share them freely.
-    The supernode graph of super_adjacency() is built on first use; two
-    concurrent readers may both build it, and get equal immutable graphs.
+    Stored: membership[u], the supernode id of node u; superedges, canonical
+    pairs (a, b) with a <= b, a self-pair meaning the supernode's members
+    are all joined; and is_lossless. The constructor enforces what
+    load_summary enforces on disk: supernode ids are dense (none negative,
+    none unused) and every superedge satisfies 0 <= a <= b < k. The
+    builders number supernodes by first appearance over nodes 0..n-1.
+
+    Derived: sizes (np.bincount of membership) and the superedge pair
+    arrays at construction, since validation needs them; supernodes (member
+    lists, ascending), kinds and the supernode graph of super_adjacency()
+    on first use. Kinds exist only for lossless summaries and follow from
+    the structure: size 1 is a singleton, a self-superedge makes a clique,
+    anything else is an independent set. Treat instances as immutable once
+    built: queries never mutate them and share them freely. Two concurrent
+    first uses may both derive a value, and get equal results.
     """
 
     membership: np.ndarray = field(repr=False)
-    supernodes: list[list[int]] = field(repr=False)
     superedges: set[tuple[int, int]] = field(repr=False)
-    kinds: list[str] | None = None
+    is_lossless: bool = False
+    sizes: np.ndarray = field(init=False, repr=False)
+    _pairs: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
     _super_graph: Graph | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.membership = np.asarray(self.membership, dtype=np.int64)
-        k = len(self.supernodes)
-        if self.membership.size and (
-            self.membership.min() < 0 or self.membership.max() >= k
-        ):
-            raise ValueError("membership refers to an unknown supernode")
-        if sum(len(s) for s in self.supernodes) != len(self.membership):
-            raise ValueError("supernodes do not partition the node set")
-        for a, b in self.superedges:
-            if not (0 <= a <= b < k):
-                raise ValueError(f"superedge ({a},{b}) is not canonical")
-        if self.kinds is not None:
-            if len(self.kinds) != k:
-                raise ValueError("one kind tag per supernode required")
-            for kind in self.kinds:
-                if kind not in VALID_KINDS:
-                    raise ValueError(f"unknown supernode kind {kind!r}")
+        if self.membership.ndim != 1:
+            raise ValueError("membership must be one supernode id per node")
+        self.sizes = _supernode_sizes(self.membership)
+        flat = np.fromiter(
+            itertools.chain.from_iterable(self.superedges),
+            dtype=np.int64,
+            count=2 * len(self.superedges),
+        )
+        a, b = flat[0::2], flat[1::2]
+        bad = (a < 0) | (a > b) | (b >= len(self.sizes))
+        if bad.any():
+            i = np.argmax(bad)
+            raise ValueError(f"superedge ({a[i]},{b[i]}) is not canonical")
+        self._pairs = (a, b)
 
     @property
     def n(self) -> int:
@@ -75,27 +83,39 @@ class Summary:
 
     @property
     def num_supernodes(self) -> int:
-        return len(self.supernodes)
+        return len(self.sizes)
 
     @property
     def num_superedges(self) -> int:
         return len(self.superedges)
 
-    @property
-    def is_lossless(self) -> bool:
-        return self.kinds is not None
+    @cached_property
+    def supernodes(self) -> list[list[int]]:
+        """Member lists per supernode id, each ascending."""
+        flat = np.argsort(self.membership, kind="stable").tolist()
+        ends = np.cumsum(self.sizes).tolist()
+        return [flat[end - size : end] for end, size in zip(ends, self.sizes.tolist())]
+
+    @cached_property
+    def kinds(self) -> list[str] | None:
+        """One kind tag per supernode for lossless summaries, else None."""
+        if not self.is_lossless:
+            return None
+        a, b = self._pairs
+        clique = np.zeros(self.num_supernodes, dtype=bool)
+        clique[a[a == b]] = True
+        kinds = np.where(clique, KIND_CLIQUE, KIND_INDEPENDENT_SET)
+        kinds[self.sizes == 1] = KIND_SINGLETON
+        return kinds.tolist()
 
     def size(self, sid: int) -> int:
-        return len(self.supernodes[sid])
+        return int(self.sizes[sid])
 
     def members(self, sid: int) -> list[int]:
         return self.supernodes[sid]
 
     def supernode_of(self, u: int) -> int:
         return int(self.membership[u])
-
-    def has_self_loop(self, sid: int) -> bool:
-        return (sid, sid) in self.superedges
 
     def super_adjacency(self) -> Graph:
         """The graph over supernodes whose edges are the cross superedges.
@@ -104,27 +124,28 @@ class Summary:
         the instance; like every Graph it is immutable.
         """
         if self._super_graph is None:
-            self._super_graph = _supernode_graph(self.num_supernodes, self.superedges)
+            self._super_graph = _supernode_graph(self.num_supernodes, *self._pairs)
         return self._super_graph
 
     def implied_edge_count(self) -> int:
         """Number of edges a reconstruction would materialize."""
-        total = 0
-        for a, b in self.superedges:
-            if a == b:
-                k = self.size(a)
-                total += k * (k - 1) // 2
-            else:
-                total += self.size(a) * self.size(b)
-        return total
+        a, b = self._pairs
+        sa, sb = self.sizes[a], self.sizes[b]
+        return int(np.where(a == b, sa * (sa - 1) // 2, sa * sb).sum())
 
 
-def _supernode_graph(k: int, superedges: set[tuple[int, int]]) -> Graph:
-    """CSR over k supernodes from the cross pairs of a canonical pair set."""
-    flat = np.fromiter(
-        itertools.chain.from_iterable(superedges), dtype=np.int64, count=2 * len(superedges)
-    )
-    a, b = flat[0::2], flat[1::2]
+def _supernode_sizes(membership: np.ndarray) -> np.ndarray:
+    """Members per supernode id; ValueError unless the ids are 0..k-1, all used."""
+    if membership.size and membership.min() < 0:
+        raise ValueError(f"negative supernode id {membership.min()}")
+    sizes = np.bincount(membership)
+    if np.any(sizes == 0):
+        raise ValueError(f"supernode id {np.argmin(sizes)} is unused")
+    return sizes
+
+
+def _supernode_graph(k: int, a: np.ndarray, b: np.ndarray) -> Graph:
+    """CSR over k supernodes from the cross pairs among canonical pairs (a, b)."""
     cross = a != b
     src = np.concatenate([a[cross], b[cross]])
     dst = np.concatenate([b[cross], a[cross]])
@@ -134,46 +155,13 @@ def _supernode_graph(k: int, superedges: set[tuple[int, int]]) -> Graph:
     return Graph(offsets, dst[order])
 
 
-def partition_summary(
-    labels: Sequence[int],
-    superedges: set[tuple[int, int]],
-    kinds_by_group: dict[int, str] | None = None,
-) -> Summary:
-    """Build a Summary from raw per-node labels, renumbering supernodes densely.
-
-    Labels are renumbered by first appearance over nodes 0..n-1; superedges
-    and kind tags must already refer to the dense numbering produced by
-    `dense_labels` (use that helper first when starting from a UnionFind).
-    """
-    membership = np.asarray(labels, dtype=np.int64)
-    k = int(membership.max()) + 1 if membership.size else 0
-    supernodes: list[list[int]] = [[] for _ in range(k)]
-    for u, sid in enumerate(membership.tolist()):
-        supernodes[sid].append(u)
-    kinds = None
-    if kinds_by_group is not None:
-        kinds = [kinds_by_group[sid] for sid in range(k)]
-    return Summary(membership, supernodes, superedges, kinds)
-
-
-def dense_labels(groups: Iterable[Sequence[int]], n: int) -> list[int]:
-    """Per-node dense labels from disjoint groups, numbered by first appearance."""
-    raw = [-1] * n
-    for gid, members in enumerate(groups):
-        for u in members:
-            if raw[u] != -1:
-                raise ValueError(f"node {u} assigned to two supernodes")
-            raw[u] = gid
-    if any(x == -1 for x in raw):
-        raise ValueError("groups do not cover every node")
-    relabel: dict[int, int] = {}
-    out = []
-    for u in range(n):
-        r = raw[u]
-        if r not in relabel:
-            relabel[r] = len(relabel)
-        out.append(relabel[r])
-    return out
+def relabel_by_first_appearance(labels: np.ndarray) -> np.ndarray:
+    """Per-node labels renumbered 0..k-1 in order of first appearance over
+    nodes 0..n-1; nodes keep sharing a label exactly when they shared one."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    dense = np.empty(len(first), dtype=np.int64)
+    dense[np.argsort(first)] = np.arange(len(first))
+    return dense[inverse.reshape(-1)]
 
 
 def reconstruct(s: Summary, max_edges: int = DEFAULT_RECONSTRUCT_CAP) -> Graph:
@@ -212,7 +200,7 @@ def save_summary(s: Summary, outdir: str | Path, meta: dict[str, object] | None 
     with open(out / "superedges.txt", "w", encoding="ascii") as fh:
         for a, b in sorted(s.superedges):
             fh.write(f"{a} {b}\n")
-    if s.kinds is not None:
+    if s.is_lossless:
         with open(out / "kinds.txt", "w", encoding="ascii") as fh:
             for sid, kind in enumerate(s.kinds):
                 fh.write(f"{sid} {kind}\n")
@@ -226,11 +214,9 @@ def load_summary(indir: str | Path) -> Summary:
     membership.txt must list each node 0..n-1 exactly once with dense
     supernode ids, and every superedge must join known supernodes. The
     counts n, supernodes and superedges in meta.txt, where recorded, must
-    match the files. Kinds follow from the structure:
-    a supernode of size 1 is a singleton, one with a self-superedge a
-    clique, any other an independent set; kinds.txt, when present, must
-    tag every supernode once with exactly that kind. Any violation raises
-    UnsupportedSummaryError naming the offending file.
+    match the files. kinds.txt, when present, must tag every supernode
+    once with exactly the kind its structure gives (see Summary). Any
+    violation raises UnsupportedSummaryError naming the offending file.
     """
     src = Path(indir)
     path = src / "membership.txt"
@@ -247,12 +233,10 @@ def load_summary(indir: str | Path) -> Summary:
         raise _corrupt(path, f"node {repeated[0]} listed more than once")
     membership = np.empty(n, dtype=np.int64)
     membership[nodes] = pairs[:, 1]
-    if n and membership.min() < 0:
-        raise _corrupt(path, f"negative supernode id {membership.min()}")
-    sizes = np.bincount(membership)
-    if np.any(sizes == 0):
-        raise _corrupt(path, f"supernode id {np.argmin(sizes)} is unused")
-    k = len(sizes)
+    try:
+        k = len(_supernode_sizes(membership))
+    except ValueError as exc:
+        raise _corrupt(path, str(exc)) from None
     _check_count(path, meta, "supernodes", k, "supernodes")
     path = src / "superedges.txt"
     pairs = _read_pairs(path)
@@ -262,20 +246,11 @@ def load_summary(indir: str | Path) -> Summary:
         raise _corrupt(path, f"superedge ({a},{b}) names an unknown supernode")
     superedges = set(zip(pairs.min(axis=1).tolist(), pairs.max(axis=1).tolist()))
     _check_count(path, meta, "superedges", len(superedges), "distinct superedges")
-    kinds = None
     path = src / "kinds.txt"
-    if path.exists():
-        kinds = [
-            KIND_SINGLETON if size == 1
-            else KIND_CLIQUE if (sid, sid) in superedges
-            else KIND_INDEPENDENT_SET
-            for sid, size in enumerate(sizes.tolist())
-        ]
-        _check_kinds(path, kinds)
-    supernodes: list[list[int]] = [[] for _ in range(k)]
-    for u, sid in enumerate(membership.tolist()):
-        supernodes[sid].append(u)
-    return Summary(membership, supernodes, superedges, kinds)
+    s = Summary(membership, superedges, is_lossless=path.exists())
+    if s.is_lossless:
+        _check_kinds(path, s.kinds)
+    return s
 
 
 def _check_count(path: Path, meta: dict[str, str], key: str, count: int, what: str) -> None:

@@ -229,3 +229,12 @@ def loop_lossy_superedges(
             a, b = root_to_label[pair[0]], root_to_label[pair[1]]
             superedges.add((a, b) if a <= b else (b, a))
     return labels, superedges
+
+
+def loop_lossless_superedges(g: Graph, labels) -> set[tuple[int, int]]:
+    """The superedge of each edge's two labels, one edge at a time."""
+    out: set[tuple[int, int]] = set()
+    for u, v in g.edges():
+        a, b = labels[u], labels[v]
+        out.add((a, b) if a <= b else (b, a))
+    return out

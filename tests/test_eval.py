@@ -18,7 +18,7 @@ from graphsum import (
     summarize_lossy,
     verify_lossless,
 )
-from graphsum.summary import partition_summary
+from graphsum.lossless import build_superedges_lossless
 
 from generators import complete_graph, er_graph, star_graph
 
@@ -53,7 +53,7 @@ class TestAppUtility:
         # ten nodes, top scorers all sit in 2-node supernodes
         g = from_edges(10, [(i, i + 1) for i in range(0, 10, 2)])
         labels = [i // 2 for i in range(10)]
-        s = partition_summary(labels, set())
+        s = Summary(labels, set())
         c = NodeCentrality(np.arange(10, dtype=float), "degree")
         report = app_utility(s, c, 40.0)
         assert report.v_t_size == 4
@@ -87,7 +87,7 @@ class TestAppUtility:
             for lab in labels:
                 dense.setdefault(lab, len(dense))
                 out.append(dense[lab])
-            values.append(app_utility(partition_summary(out, set()), c, 50.0).app_utility)
+            values.append(app_utility(Summary(out, set()), c, 50.0).app_utility)
         assert values[0] >= values[1] >= values[2]
         assert values[0] > values[2]
 
@@ -103,7 +103,7 @@ class TestVerifyLossless:
     def test_identity_summary(self):
         g = er_graph(25, 0.15, 2)
         labels = list(range(g.n))
-        s = partition_summary(labels, set(g.edges()))
+        s = Summary(labels, set(g.edges()))
         assert verify_lossless(g, s).lossless
 
     def test_lossless_summarizer_output(self):
@@ -115,7 +115,7 @@ class TestVerifyLossless:
         s = summarize(g)
         labels = s.membership.tolist()
         labels[0], labels[-1] = labels[-1], labels[0]
-        corrupted = partition_summary(labels, s.superedges)
+        corrupted = Summary(labels, s.superedges)
         report = verify_lossless(g, corrupted)
         assert not report.lossless
         assert report.missing_edges or report.spurious_edges
@@ -131,23 +131,18 @@ class TestOptimalRnDominance:
             best = summarize(g)
             # split some multi-node supernodes: refinements stay lossless
             groups = []
-            kinds = {}
-            for sid, grp in enumerate(best.supernodes):
+            for grp in best.supernodes:
                 if len(grp) >= 2 and rng.random() < 0.7:
                     cut = rng.randrange(1, len(grp))
-                    parts = [grp[:cut], grp[cut:]]
+                    groups.extend([grp[:cut], grp[cut:]])
                 else:
-                    parts = [grp]
-                for part in parts:
-                    kind = best.kinds[sid] if len(part) >= 2 else "singleton"
-                    groups.append((part, kind))
-            from graphsum.lossless import build_superedges_lossless
-            from graphsum.summary import dense_labels
-
-            labels = dense_labels([p for p, _ in groups], g.n)
-            kind_map = {labels[p[0]]: k for p, k in groups}
-            refined = partition_summary(
-                labels, build_superedges_lossless(g, labels), kind_map
+                    groups.append(grp)
+            labels = [0] * g.n
+            for gid, part in enumerate(groups):
+                for u in part:
+                    labels[u] = gid
+            refined = Summary(
+                labels, build_superedges_lossless(g, labels), is_lossless=True
             )
             assert verify_lossless(g, refined).lossless
             assert reduction_in_nodes(best) >= reduction_in_nodes(refined)

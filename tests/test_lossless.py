@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphsum import (
     CapExceededError,
@@ -21,8 +23,19 @@ from graphsum.lossless import (
 from graphsum.summary import KIND_CLIQUE, KIND_INDEPENDENT_SET, KIND_SINGLETON
 
 from conftest import random_graphs
-from generators import ba_graph, complete_graph, er_graph, path_graph, star_graph
-from oracles import neighborhood_class_partition, partition_key
+from generators import (
+    ba_graph,
+    complete_graph,
+    er_graph,
+    path_graph,
+    star_graph,
+    twin_rich_graph,
+)
+from oracles import (
+    loop_lossless_superedges,
+    neighborhood_class_partition,
+    partition_key,
+)
 
 
 def groups_of(summary):
@@ -119,16 +132,12 @@ class TestFilter:
         assert out == [[0, 1, 2, 3]]
 
     def test_adversarial_bucket_pivot_order_invariant(self):
-        # two distinct IS classes forced into one bucket
+        # two distinct IS classes forced into one bucket, listed in every order
         g = from_edges(7, [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6)])
         mixed = [1, 2, 3, 5, 6]
         expected = {frozenset({1, 2, 3}), frozenset({5, 6})}
         for order in itertools.permutations(mixed):
-            rank = {v: i for i, v in enumerate(order)}
-            picker = lambda cands: min(cands, key=lambda v: rank[v])
-            out = filter_supernodes(
-                g, {1: list(mixed)}, KIND_INDEPENDENT_SET, pivot_choice=picker
-            )
+            out = filter_supernodes(g, {1: list(order)}, KIND_INDEPENDENT_SET)
             assert {frozenset(grp) for grp in out} == expected
 
 
@@ -171,6 +180,28 @@ class TestScalable:
             other_sid = again.supernode_of(grp[0])
             assert again.kinds[other_sid] == s.kinds[sid]
 
+    @pytest.mark.parametrize(
+        "g",
+        [twin_rich_graph(seed) for seed in range(6)]
+        + [er_graph(60, 0.05, 1), er_graph(12, 0.85, 2)],
+    )
+    def test_derived_kinds_match_filter(self, g):
+        map_clique, map_is = candidate_supernodes(g)
+        clique_groups = filter_supernodes(g, map_clique, KIND_CLIQUE)
+        claimed = {v for grp in clique_groups for v in grp}
+        is_groups = filter_supernodes(g, map_is, KIND_INDEPENDENT_SET, skip=claimed)
+        s, naive = summarize(g), summarize_naive(g)
+        tagged = [(grp, KIND_CLIQUE) for grp in clique_groups]
+        tagged += [(grp, KIND_INDEPENDENT_SET) for grp in is_groups]
+        for grp, kind in tagged:
+            sid = s.supernode_of(grp[0])
+            assert s.members(sid) == grp
+            assert s.kinds[sid] == kind
+        singletons = g.n - sum(len(grp) for grp in clique_groups + is_groups)
+        assert s.kinds.count(KIND_SINGLETON) == singletons
+        assert naive.kinds == s.kinds
+        assert naive.membership.tolist() == s.membership.tolist()
+
     def test_kind_selfloop_consistency(self):
         g = er_graph(150, 0.06, 13)
         s = summarize(g)
@@ -189,6 +220,13 @@ class TestSuperedges:
         labels = s.membership.tolist()
         rebuilt = build_superedges_lossless(g, labels)
         assert rebuilt == s.superedges
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_graphs(max_n=35), st.integers(1, 40), st.integers(0, 9999))
+    def test_array_superedges_match_loop(self, g, span, seed):
+        # any labels, dense or not, including labels above n
+        labels = random.Random(seed).choices(range(span), k=g.n)
+        assert build_superedges_lossless(g, labels) == loop_lossless_superedges(g, labels)
 
     def test_reconstruction_bipartite_expansion(self):
         # two 3-node supernodes joined by one superedge yield K_{3,3}

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphsum import (
     Summary,
@@ -11,10 +16,11 @@ from graphsum import (
     save_summary,
     summarize,
     summarize_lossy,
+    summarize_naive,
 )
-from graphsum.summary import partition_summary, read_meta
+from graphsum.summary import read_meta
 
-from generators import er_graph
+from generators import ba_graph, er_graph, twin_rich_graph
 
 
 def summaries_equal(a: Summary, b: Summary) -> bool:
@@ -58,14 +64,67 @@ def test_meta_round_trip(tmp_path):
 
 def test_validation_rejects_bad_membership():
     with pytest.raises(ValueError):
-        Summary(np.array([0, 2]), [[0], [1]], set())
+        Summary(np.array([0, 2]), set())
 
 
 def test_validation_rejects_noncanonical_superedge():
     with pytest.raises(ValueError):
-        partition_summary([0, 1], {(1, 0)})
+        Summary(np.array([0, 1]), {(1, 0)})
 
 
 def test_validation_rejects_unknown_kind():
+    # kinds are derived from the superedges, so no tag can be passed in
+    with pytest.raises(TypeError):
+        Summary(np.array([0, 1]), set(), kinds=["blob", "singleton"])
+
+
+@pytest.mark.parametrize(
+    "labels", [[0, 2], [1], [-1, 0], [0, 0, 3], [[0, 1]]], ids=str
+)
+def test_non_dense_labels_rejected_at_construction(labels):
     with pytest.raises(ValueError):
-        partition_summary([0, 1], set(), {0: "blob", 1: "singleton"})
+        Summary(labels, set())
+
+
+@st.composite
+def random_summaries(draw):
+    n = draw(st.integers(min_value=0, max_value=25))
+    raw = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    membership = np.unique(raw, return_inverse=True)[1].reshape(-1)  # dense
+    k = len(set(raw))
+    sid = st.integers(0, k - 1)
+    pairs = draw(st.lists(st.tuples(sid, sid), max_size=30)) if k else []
+    superedges = {(min(a, b), max(a, b)) for a, b in pairs}
+    return Summary(membership, superedges, is_lossless=draw(st.booleans()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_summaries())
+def test_any_summary_round_trips(s):
+    with tempfile.TemporaryDirectory() as tmp:
+        save_summary(s, Path(tmp) / "out")
+        loaded = load_summary(Path(tmp) / "out")
+    assert summaries_equal(s, loaded)
+    assert loaded.is_lossless == s.is_lossless
+    assert [len(members) for members in loaded.supernodes] == loaded.sizes.tolist()
+
+
+def numbered_by_first_appearance(membership: np.ndarray) -> bool:
+    top = -1
+    for sid in membership.tolist():
+        if sid > top + 1:
+            return False
+        top = max(top, sid)
+    return True
+
+
+@pytest.mark.parametrize(
+    "g",
+    [twin_rich_graph(seed) for seed in range(6)]
+    + [er_graph(60, 0.1, 3), ba_graph(80, 2, 1)],
+)
+def test_builders_number_supernodes_by_first_appearance(g):
+    model = build_weight_model(g, pagerank(g))
+    lossy = [summarize_lossy(g, model, tau).summary for tau in (0.5, 0.8)]
+    for s in [summarize(g), summarize_naive(g), *lossy]:
+        assert numbered_by_first_appearance(s.membership)
