@@ -13,10 +13,11 @@ remapping is reported so external ids survive the round trip.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -162,21 +163,26 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     Pairs are canonicalized, duplicates merged and self-loops discarded.
     Ids must lie in 0..n-1; n may exceed the ids used (isolated nodes).
     """
-    canon = {(u, v) if u < v else (v, u) for u, v in edges if u != v}
-    for u, v in canon:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{v}) out of bounds for n={n}")
-    if not canon:
-        return Graph(np.zeros(n + 1, dtype=np.int64), np.zeros(0, dtype=np.int64))
-    eu = np.fromiter((e[0] for e in canon), dtype=np.int64, count=len(canon))
-    ev = np.fromiter((e[1] for e in canon), dtype=np.int64, count=len(canon))
-    src = np.concatenate([eu, ev])
-    dst = np.concatenate([ev, eu])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
+    flat = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int64)
+    u, v = flat[0::2], flat[1::2]
+    loop = u == v
+    bad = ((np.minimum(u, v) < 0) | (np.maximum(u, v) >= n)) & ~loop
+    if bad.any():
+        i = np.argmax(bad)
+        raise ValueError(f"edge ({u[i]},{v[i]}) out of bounds for n={n}")
+    return _simple_graph(n, u[~loop], v[~loop])
+
+
+def _simple_graph(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
+    """The graph on nodes 0..n-1 whose edges are the pairs (u[i], v[i]), none
+    a self-loop; directions and duplicates are merged by one sort of keys
+    lo*n + hi."""
+    keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    lo, hi = np.divmod(keys, n)
+    src, dst = np.divmod(np.sort(np.concatenate([keys, hi * n + lo])), n)
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(offsets, src + 1, 1)
-    np.cumsum(offsets, out=offsets)
+    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
     return Graph(offsets, dst)
 
 
@@ -200,10 +206,41 @@ def load_edge_list(path: str | Path) -> LoadResult:
 
     Raises EdgeListParseError (with the offending line number) on a
     non-integer token, a wrong token count or a negative id.
+
+    A file of digits, spaces, tabs and newlines only, two tokens of at most
+    18 digits on each non-blank line, is parsed as one array; any other file
+    (comments, signs, CRLF endings, longer ids, errors) goes through the
+    line parser, the only code that reports a line number.
     """
+    pairs = parse_int_pairs(Path(path).read_bytes())
+    if pairs is None:
+        return _load_edge_lines(path)
+    ids = pairs.reshape(-1)
+    compact = relabel_by_first_appearance(ids)
+    original_ids = np.empty(int(compact.max(initial=-1)) + 1, dtype=np.int64)
+    original_ids[compact] = ids
+    u, v = compact[0::2], compact[1::2]
+    loop = u == v
+    graph = _simple_graph(len(original_ids), u[~loop], v[~loop])
+    self_loops = int(loop.sum())
+    duplicates = len(pairs) - self_loops - graph.m
+    return LoadResult(graph, original_ids.tolist(), duplicates, self_loops)
+
+
+def relabel_by_first_appearance(labels: np.ndarray) -> np.ndarray:
+    """Per-node labels renumbered 0..k-1 in order of first appearance over
+    nodes 0..n-1; nodes keep sharing a label exactly when they shared one."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    dense = np.empty(len(first), dtype=np.int64)
+    dense[np.argsort(first)] = np.arange(len(first))
+    return dense[inverse.reshape(-1)]
+
+
+def _load_edge_lines(path: str | Path) -> LoadResult:
+    """load_edge_list one line at a time, for files parse_int_pairs rejects."""
     remap: dict[int, int] = {}
     original_ids: list[int] = []
-    canon: set[tuple[int, int]] = set()
+    endpoints: list[int] = []
     self_loops = 0
     edge_lines = 0
 
@@ -238,22 +275,61 @@ def load_edge_list(path: str | Path) -> LoadResult:
             if u == v:
                 self_loops += 1
                 continue
-            canon.add((u, v) if u < v else (v, u))
+            endpoints += (u, v)
 
-    graph = from_edges(len(original_ids), canon)
-    duplicates = edge_lines - self_loops - len(canon)
+    ends = np.array(endpoints, dtype=np.int64)
+    graph = _simple_graph(len(original_ids), ends[0::2], ends[1::2])
+    duplicates = edge_lines - self_loops - graph.m
     return LoadResult(graph, original_ids, duplicates, self_loops)
+
+
+# Longer tokens may exceed int64, which np.fromstring saturates silently.
+_MAX_DIGITS = 18
+
+
+def parse_int_pairs(data: bytes) -> np.ndarray | None:
+    """The two integers on each non-blank line of data as an (r, 2) int64
+    array, or None unless data holds only digits, spaces, tabs and newlines,
+    with exactly two tokens of at most 18 digits on each non-blank line.
+
+    Checks and parses whole arrays; callers re-read rejected data line by
+    line to report the line at fault.
+    """
+    chars = np.frombuffer(data, dtype=np.uint8)
+    digit = (chars >= ord("0")) & (chars <= ord("9"))
+    newline = chars == ord("\n")
+    if not np.all(digit | newline | (chars == ord(" ")) | (chars == ord("\t"))):
+        return None
+    padded = np.zeros(chars.size + 2, dtype=bool)
+    padded[1:-1] = digit
+    bounds = np.flatnonzero(padded[1:] != padded[:-1])  # token starts and stops
+    starts, stops = bounds[0::2], bounds[1::2]
+    if starts.size % 2 or np.any(stops - starts > _MAX_DIGITS):
+        return None
+    line = np.searchsorted(np.flatnonzero(newline), starts)
+    if np.any(line[0::2] != line[1::2]) or np.any(line[2::2] == line[1:-1:2]):
+        return None
+    if not starts.size:  # np.fromstring reads blank text as one 0
+        return np.zeros((0, 2), dtype=np.int64)
+    return np.fromstring(data, dtype=np.int64, sep=" ").reshape(-1, 2)
 
 
 def write_edge_list(g: Graph, path: str | Path) -> None:
     """Write each canonical edge (u < v) once as "u v\\n", ascending order."""
-    with open(path, "w", encoding="ascii") as fh:
-        for u, v in g.edges():
-            fh.write(f"{u} {v}\n")
+    u, v = g.edge_arrays
+    write_int_pairs(path, u.tolist(), v.tolist())
 
 
 def write_id_map(result: LoadResult, path: str | Path) -> None:
     """Persist the compact-id -> original-id mapping ("new original" lines)."""
+    write_int_pairs(path, range(len(result.original_ids)), result.original_ids)
+
+
+def write_int_pairs(path: str | Path, first: Sequence[int], second: Sequence[int]) -> None:
+    """Write "first[i] second[i]\\n" for each i, formatted at once and
+    written in one call."""
+    flat = [0] * (2 * len(first))
+    flat[0::2] = first
+    flat[1::2] = second
     with open(path, "w", encoding="ascii") as fh:
-        for new, orig in enumerate(result.original_ids):
-            fh.write(f"{new} {orig}\n")
+        fh.write("%d %d\n" * len(first) % tuple(flat))

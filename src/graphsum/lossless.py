@@ -7,64 +7,54 @@ identical neighborhoods (independent set) or identical closed neighborhoods
 as the optimality oracle. `summarize` is the scalable pipeline: hash every
 (closed) neighborhood into 64-bit buckets, filter false positives by exact
 comparison, mop up singletons and build superedges in one edge sweep.
+
+The neighborhood hash is additive: the sum, wrapping in uint64, of a mixed
+value per member. It ignores order, so one np.add.reduceat over the
+adjacency arrays hashes every open neighborhood, and adding the node's own
+mixed value gives its closed one. Each bucket is then compared with its
+smallest node in one gathered pass over the neighbor rows.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
-from .graph import Graph
-from .summary import (
-    KIND_CLIQUE,
-    KIND_INDEPENDENT_SET,
-    Summary,
-    relabel_by_first_appearance,
-)
+from .graph import Graph, relabel_by_first_appearance
+from .summary import KIND_CLIQUE, KIND_INDEPENDENT_SET, PairSet, Summary
 
 DEFAULT_SEED = 42
 
 _MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _mix64(x: int) -> int:
-    # splitmix64 finalizer
-    x &= _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
+def _mix64_array(x: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer, elementwise on a uint64 array (wrapping)."""
+    x = x ^ (x >> np.uint64(30))
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
 
 
-def sequence_hash(seq: Iterable[int], seed: int = DEFAULT_SEED) -> int:
-    """Deterministic 64-bit hash of an ordered integer sequence."""
-    h = _mix64(seed ^ _GOLDEN)
-    for x in seq:
-        h = _mix64(h ^ ((x + _GOLDEN) & _MASK64))
-    return h
+def _neighbor_rows(g: Graph, nodes: np.ndarray, closed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The neighbor rows of nodes, concatenated, plus each row's end offset.
 
-
-def _closed_neighborhood_hash(nbrs: list[int], v: int, seed: int) -> int:
-    # hash of sorted(N(v) + {v}) without building the merged list
-    h = _mix64(seed ^ _GOLDEN)
-    emitted = False
-    for x in nbrs:
-        if not emitted and v < x:
-            h = _mix64(h ^ ((v + _GOLDEN) & _MASK64))
-            emitted = True
-        h = _mix64(h ^ ((x + _GOLDEN) & _MASK64))
-    if not emitted:
-        h = _mix64(h ^ ((v + _GOLDEN) & _MASK64))
-    return h
-
-
-def _closed_tuple(nbrs: list[int], v: int) -> tuple[int, ...]:
-    for i, x in enumerate(nbrs):
-        if v < x:
-            return tuple(nbrs[:i]) + (v,) + tuple(nbrs[i:])
-    return tuple(nbrs) + (v,)
+    Each row ascends; a closed row also holds the node itself, merged into
+    place by one lexsort.
+    """
+    deg = g.degrees[nodes]
+    total = int(deg.sum())
+    ends = np.cumsum(deg)
+    flat = g.targets[np.repeat(g.offsets[nodes] - ends + deg, deg) + np.arange(total)]
+    if closed:
+        values = np.concatenate([flat, nodes])
+        row = np.concatenate([np.repeat(np.arange(len(nodes)), deg), np.arange(len(nodes))])
+        flat = values[np.lexsort((values, row))]
+        ends = ends + np.arange(1, len(nodes) + 1)
+    return flat.astype(np.int64, copy=False), ends
 
 
 def candidate_supernodes(
@@ -73,26 +63,57 @@ def candidate_supernodes(
     seed: int = DEFAULT_SEED,
 ) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
     """Bucket nodes by hashed closed neighborhood (clique candidates) and by
-    hashed open neighborhood (independent-set candidates).
+    hashed open neighborhood (independent-set candidates); only buckets of
+    two or more nodes are returned, each listing its nodes ascending.
 
-    Hash collisions can put unrelated nodes in one bucket (false positives,
-    removed later) but two nodes eligible for the same supernode always
-    share a bucket (no false negatives). Any deterministic sequence-to-int
-    hash may replace the built-in seeded one.
+    The built-in hash is additive, so it needs no sorted order: the open
+    hash of v is the wrapping uint64 sum of mix64(x ^ seed) over x in N(v),
+    one np.add.reduceat over the adjacency, and the closed hash adds
+    mix64(v ^ seed). Hash collisions can put unrelated nodes in one bucket
+    (false positives, removed later) but two nodes eligible for the same
+    supernode always share a bucket (no false negatives). Any deterministic
+    sequence-to-int hash_fn may replace it; it is called on each ascending
+    closed and open neighborhood tuple.
     """
-    map_clique: dict[int, list[int]] = {}
-    map_is: dict[int, list[int]] = {}
-    for v in range(g.n):
-        nbrs = g.neighbors_list(v)
-        if hash_fn is None:
-            hc = _closed_neighborhood_hash(nbrs, v, seed)
-            hi = sequence_hash(nbrs, seed)
-        else:
-            hc = hash_fn(_closed_tuple(nbrs, v))
-            hi = hash_fn(tuple(nbrs))
-        map_clique.setdefault(hc, []).append(v)
-        map_is.setdefault(hi, []).append(v)
-    return map_clique, map_is
+    nodes = np.arange(g.n)
+    if hash_fn is None:
+        salt = np.uint64(seed & _MASK64)
+        mixed = _mix64_array(g.targets.astype(np.uint64) ^ salt)
+        nonempty = g.degrees > 0
+        open_hash = np.zeros(g.n, dtype=np.uint64)
+        open_hash[nonempty] = np.add.reduceat(mixed, g.offsets[:-1][nonempty])
+        closed_hash = open_hash + _mix64_array(nodes.astype(np.uint64) ^ salt)
+    else:  # object arrays keep any int hash_fn returns exact
+        rows = _row_lists(g, nodes, closed=True)
+        closed_hash = np.array([hash_fn(tuple(row)) for row in rows], dtype=object)
+        rows = _row_lists(g, nodes, closed=False)
+        open_hash = np.array([hash_fn(tuple(row)) for row in rows], dtype=object)
+    return _buckets(closed_hash), _buckets(open_hash)
+
+
+def _row_lists(g: Graph, nodes: np.ndarray, closed: bool) -> list[list[int]]:
+    """The rows of _neighbor_rows as Python lists."""
+    flat, ends = (a.tolist() for a in _neighbor_rows(g, nodes, closed))
+    return [flat[lo:hi] for lo, hi in zip([0, *ends], ends)]
+
+
+def _buckets(hashes: np.ndarray) -> dict[int, list[int]]:
+    """{hash: nodes ascending} for each hash shared by two or more nodes,
+    in the order of each bucket's smallest node."""
+    order = np.argsort(hashes, kind="stable")
+    ordered = hashes[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(new)
+    sizes = np.diff(starts, append=len(order))
+    starts, sizes = starts[sizes >= 2], sizes[sizes >= 2]
+    by_first = np.argsort(order[starts])
+    starts, sizes = starts[by_first], sizes[by_first]
+    flat = order.tolist()
+    return {
+        h: flat[start : start + size]
+        for h, start, size in zip(ordered[starts].tolist(), starts.tolist(), sizes.tolist())
+    }
 
 
 def filter_supernodes(
@@ -108,31 +129,75 @@ def filter_supernodes(
     the groups do not depend on the bucket's order. Nodes left alone fall
     out and become singletons later. `skip` drops nodes already claimed by
     an earlier filtering pass.
+
+    Every bucket is checked against its pivot at once, by one gathered
+    comparison of neighbor rows. Only a bucket holding a false positive
+    goes through the pivot loop, which groups what the pivot leaves over.
     """
     if kind not in (KIND_CLIQUE, KIND_INDEPENDENT_SET):
         raise ValueError(f"unknown filter kind {kind!r}")
-    use_closed = kind == KIND_CLIQUE
+    closed = kind == KIND_CLIQUE
+    nodes, first = _pending(buckets, skip)
+    starts = np.flatnonzero(first)
+    flat, ends = _neighbor_rows(g, nodes, closed)
+    mismatch = _rows_differ(flat, ends, starts[np.cumsum(first) - 1])
+    dirty = np.logical_or.reduceat(mismatch, starts).tolist() if len(starts) else []
+    members, rows = nodes.tolist(), None
     groups: list[list[int]] = []
-    for bucket in buckets.values():
-        pending = [v for v in bucket if not skip or v not in skip]
-        if len(pending) < 2:
+    for lo, hi, false_positive in zip(starts.tolist(), [*starts[1:].tolist(), len(nodes)], dirty):
+        if not false_positive:
+            groups.append(members[lo:hi])
             continue
-        keys: dict[int, tuple[int, ...]] = {}
-        for v in pending:
-            nbrs = g.neighbors_list(v)
-            keys[v] = _closed_tuple(nbrs, v) if use_closed else tuple(nbrs)
-        remaining = set(pending)
-        while remaining:
-            u = min(remaining)
-            remaining.discard(u)
-            group = [u] + [v for v in sorted(remaining) if keys[v] == keys[u]]
-            if len(group) >= 2:
-                remaining.difference_update(group)
-                groups.append(sorted(group))
+        rows = rows or _row_lists(g, nodes, closed)
+        groups += _pivot_groups({members[i]: rows[i] for i in range(lo, hi)})
     return groups
 
 
-def build_superedges_lossless(g: Graph, membership) -> set[tuple[int, int]]:
+def _pending(buckets: dict[int, list[int]], skip: set[int] | None) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes of every bucket with two or more nodes outside skip, bucket
+    by bucket, each ascending, and a mask of each bucket's first node."""
+    sizes = [len(bucket) for bucket in buckets.values()]
+    nodes = np.fromiter(itertools.chain.from_iterable(buckets.values()), np.int64, sum(sizes))
+    bucket = np.repeat(np.arange(len(sizes)), sizes)
+    if skip:
+        left = ~np.isin(nodes, np.fromiter(skip, np.int64, len(skip)))
+        nodes, bucket = nodes[left], bucket[left]
+    order = np.lexsort((nodes, bucket))
+    nodes, bucket = nodes[order], bucket[order]
+    many = np.bincount(bucket, minlength=len(sizes))[bucket] >= 2
+    nodes, bucket = nodes[many], bucket[many]
+    return nodes, np.diff(bucket, prepend=-1) != 0
+
+
+def _rows_differ(flat: np.ndarray, ends: np.ndarray, pivot: np.ndarray) -> np.ndarray:
+    """Whether row i differs from row pivot[i], row i being flat[ends[i-1]:ends[i]]."""
+    lengths = np.diff(ends, prepend=0)
+    row_starts = ends - lengths
+    differ = lengths != lengths[pivot]
+    owner = np.repeat(np.arange(len(ends)), lengths)
+    compared = np.flatnonzero(~differ[owner])
+    row = owner[compared]
+    at_pivot = row_starts[pivot[row]] + compared - row_starts[row]
+    differ[row[flat[compared] != flat[at_pivot]]] = True
+    return differ
+
+
+def _pivot_groups(keys: dict[int, list[int]]) -> list[list[int]]:
+    """Groups of size >= 2 of nodes with equal keys: the smallest node left
+    is the pivot and takes every node whose key equals its own."""
+    groups: list[list[int]] = []
+    remaining = set(keys)
+    while remaining:
+        u = min(remaining)
+        remaining.discard(u)
+        group = [u] + [v for v in sorted(remaining) if keys[v] == keys[u]]
+        if len(group) >= 2:
+            remaining.difference_update(group)
+            groups.append(sorted(group))
+    return groups
+
+
+def build_superedges_lossless(g: Graph, membership) -> PairSet:
     """One pass over E: a superedge exists iff some original edge crosses it.
 
     Intra-supernode edges (clique members) yield the self superedge.
@@ -144,8 +209,7 @@ def build_superedges_lossless(g: Graph, membership) -> set[tuple[int, int]]:
     u, v = g.edge_arrays
     lu, lv = labels[u], labels[v]
     keys = np.sort(np.minimum(lu, lv) * k + np.maximum(lu, lv))
-    a, b = np.divmod(keys[np.diff(keys, prepend=-1) != 0], k)
-    return set(zip(a.tolist(), b.tolist()))
+    return PairSet(*np.divmod(keys[np.diff(keys, prepend=-1) != 0], k))
 
 
 def _assemble(g: Graph, clique_groups, is_groups) -> Summary:
@@ -162,8 +226,8 @@ def _assemble(g: Graph, clique_groups, is_groups) -> Summary:
 def summarize(g: Graph, seed: int = DEFAULT_SEED) -> Summary:
     """Scalable lossless summarizer: hash, filter, mop up, build superedges.
 
-    Expected O(E) time and O(V) working space. The partition is identical
-    to summarize_naive; only bucket layout depends on the seed.
+    O(E log E) time (sorts) and O(E) working space. The partition is
+    identical to summarize_naive; only bucket layout depends on the seed.
     """
     map_clique, map_is = candidate_supernodes(g, seed=seed)
     clique_groups = filter_supernodes(g, map_clique, KIND_CLIQUE)

@@ -26,8 +26,8 @@ import numpy as np
 
 from .centrality import EdgeWeightModel, NodeCentrality
 from .errors import CapExceededError
-from .graph import Graph
-from .summary import Summary, relabel_by_first_appearance
+from .graph import Graph, relabel_by_first_appearance
+from .summary import PairSet, Summary
 from .unionfind import UnionFind
 
 DEFAULT_PAIR_CAP = 5_000_000
@@ -94,7 +94,8 @@ def _star_pair_keys(g: Graph, scores: np.ndarray) -> np.ndarray:
     first = np.repeat(starts[row] - np.cumsum(span) + span, span)
     a = np.repeat(targets[centers], span)
     b = targets[first + np.arange(span.sum())]
-    return np.unique((np.minimum(a, b) * n + np.maximum(a, b))[a != b])
+    keys = np.sort((np.minimum(a, b) * n + np.maximum(a, b))[a != b])
+    return keys[np.diff(keys, prepend=-1) != 0]
 
 
 def full_candidate_list(
@@ -186,8 +187,7 @@ def build_superedges_lossy(
     labels = relabel_by_first_appearance(_root_labels(partition))
     a, b, sedge, nsedge = _superpair_costs(g, model, labels)
     keep = sedge <= nsedge
-    superedges = set(zip(a[keep].tolist(), b[keep].tolist()))
-    return Summary(labels, superedges)
+    return Summary(labels, PairSet(a[keep], b[keep]))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,8 @@ and each self superedge to a clique.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Iterator
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -32,21 +34,73 @@ VALID_KINDS = (KIND_SINGLETON, KIND_CLIQUE, KIND_INDEPENDENT_SET)
 DEFAULT_RECONSTRUCT_CAP = 50_000_000
 
 
+class PairSet(AbstractSet):
+    """An immutable set of integer pairs held as two int64 arrays that
+    ascend by (a, b) without repeats, in place of one Python tuple per pair.
+
+    It iterates in that order, tests membership and compares equal like the
+    set of the same (a, b) tuples; set operators return plain sets. Python
+    sets of tuples grow slower than linearly with their size (cache
+    misses), so builders hand their pair arrays over in this form.
+    """
+
+    def __init__(self, a: np.ndarray, b: np.ndarray):
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        step_a, step_b = a[1:] - a[:-1], b[1:] - b[:-1]
+        if len(a) != len(b) or np.any((step_a < 0) | ((step_a == 0) & (step_b <= 0))):
+            raise ValueError("pairs must ascend by (a, b) without repeats")
+        a.setflags(write=False)
+        b.setflags(write=False)
+        self.pairs = (a, b)
+
+    @classmethod
+    def _from_iterable(cls, it: Iterable) -> set:
+        return set(it)
+
+    def __len__(self) -> int:
+        return len(self.pairs[0])
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        a, b = self.pairs
+        return zip(a.tolist(), b.tolist())
+
+    def __contains__(self, pair: object) -> bool:
+        try:
+            x, y = pair  # type: ignore[misc]
+        except (TypeError, ValueError):
+            return False
+        a, b = self.pairs
+        lo, hi = np.searchsorted(a, x, "left"), np.searchsorted(a, x, "right")
+        i = lo + np.searchsorted(b[lo:hi], y)
+        return bool(i < hi and b[i] == y)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, PairSet):
+            return all(map(np.array_equal, self.pairs, other.pairs))
+        return super().__eq__(other)
+
+    __hash__ = None  # like set: equal to mutable sets, so not hashable
+
+    def __repr__(self) -> str:
+        return repr(set(self))
+
+
 @dataclass(eq=False)
 class Summary:
     """Partition of the nodes into supernodes plus a superedge set.
 
     Stored: membership[u], the supernode id of node u; superedges, canonical
     pairs (a, b) with a <= b, a self-pair meaning the supernode's members
-    are all joined; and is_lossless. The constructor enforces what
-    load_summary enforces on disk: supernode ids are dense (none negative,
-    none unused) and every superedge satisfies 0 <= a <= b < k. The
-    builders number supernodes by first appearance over nodes 0..n-1.
+    are all joined, given as any set of tuples and kept as a PairSet; and
+    is_lossless. The constructor enforces what load_summary enforces on
+    disk: supernode ids are dense (none negative, none unused) and every
+    superedge satisfies 0 <= a <= b < k. The builders number supernodes by
+    first appearance over nodes 0..n-1.
 
-    Derived: sizes (np.bincount of membership) and the superedge pair
-    arrays at construction, since validation needs them; supernodes (member
-    lists, ascending), kinds and the supernode graph of super_adjacency()
-    on first use. Kinds exist only for lossless summaries and follow from
+    Derived: sizes (np.bincount of membership) at construction, since
+    validation needs them; supernodes (member lists, ascending), kinds and
+    the supernode graph of super_adjacency() on first use. Kinds exist only for lossless summaries and follow from
     the structure: size 1 is a singleton, a self-superedge makes a clique,
     anything else is an independent set. Treat instances as immutable once
     built: queries never mutate them and share them freely. Two concurrent
@@ -54,10 +108,9 @@ class Summary:
     """
 
     membership: np.ndarray = field(repr=False)
-    superedges: set[tuple[int, int]] = field(repr=False)
+    superedges: AbstractSet[tuple[int, int]] = field(repr=False)
     is_lossless: bool = False
     sizes: np.ndarray = field(init=False, repr=False)
-    _pairs: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
     _super_graph: Graph | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -65,17 +118,22 @@ class Summary:
         if self.membership.ndim != 1:
             raise ValueError("membership must be one supernode id per node")
         self.sizes = _supernode_sizes(self.membership)
-        flat = np.fromiter(
-            itertools.chain.from_iterable(self.superedges),
-            dtype=np.int64,
-            count=2 * len(self.superedges),
-        )
-        a, b = flat[0::2], flat[1::2]
+        if isinstance(self.superedges, PairSet):
+            a, b = self.superedges.pairs
+        else:
+            flat = np.fromiter(
+                itertools.chain.from_iterable(self.superedges),
+                dtype=np.int64,
+                count=2 * len(self.superedges),
+            )
+            a, b = flat[0::2], flat[1::2]
         bad = (a < 0) | (a > b) | (b >= len(self.sizes))
         if bad.any():
             i = np.argmax(bad)
             raise ValueError(f"superedge ({a[i]},{b[i]}) is not canonical")
-        self._pairs = (a, b)
+        if not isinstance(self.superedges, PairSet):
+            order = np.argsort(a * len(self.sizes) + b)
+            self.superedges = PairSet(a[order], b[order])
 
     @property
     def n(self) -> int:
@@ -101,7 +159,7 @@ class Summary:
         """One kind tag per supernode for lossless summaries, else None."""
         if not self.is_lossless:
             return None
-        a, b = self._pairs
+        a, b = self.superedges.pairs
         clique = np.zeros(self.num_supernodes, dtype=bool)
         clique[a[a == b]] = True
         kinds = np.where(clique, KIND_CLIQUE, KIND_INDEPENDENT_SET)
@@ -124,12 +182,12 @@ class Summary:
         the instance; like every Graph it is immutable.
         """
         if self._super_graph is None:
-            self._super_graph = _supernode_graph(self.num_supernodes, *self._pairs)
+            self._super_graph = _supernode_graph(self.num_supernodes, *self.superedges.pairs)
         return self._super_graph
 
     def implied_edge_count(self) -> int:
         """Number of edges a reconstruction would materialize."""
-        a, b = self._pairs
+        a, b = self.superedges.pairs
         sa, sb = self.sizes[a], self.sizes[b]
         return int(np.where(a == b, sa * (sa - 1) // 2, sa * sb).sum())
 
@@ -153,15 +211,6 @@ def _supernode_graph(k: int, a: np.ndarray, b: np.ndarray) -> Graph:
     offsets = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=k), out=offsets[1:])
     return Graph(offsets, dst[order])
-
-
-def relabel_by_first_appearance(labels: np.ndarray) -> np.ndarray:
-    """Per-node labels renumbered 0..k-1 in order of first appearance over
-    nodes 0..n-1; nodes keep sharing a label exactly when they shared one."""
-    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    dense = np.empty(len(first), dtype=np.int64)
-    dense[np.argsort(first)] = np.arange(len(first))
-    return dense[inverse.reshape(-1)]
 
 
 def reconstruct(s: Summary, max_edges: int = DEFAULT_RECONSTRUCT_CAP) -> Graph:
@@ -194,16 +243,12 @@ def reconstruct(s: Summary, max_edges: int = DEFAULT_RECONSTRUCT_CAP) -> Graph:
 def save_summary(s: Summary, outdir: str | Path, meta: dict[str, object] | None = None) -> None:
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "membership.txt", "w", encoding="ascii") as fh:
-        for u, sid in enumerate(s.membership.tolist()):
-            fh.write(f"{u} {sid}\n")
-    with open(out / "superedges.txt", "w", encoding="ascii") as fh:
-        for a, b in sorted(s.superedges):
-            fh.write(f"{a} {b}\n")
+    graphmod.write_int_pairs(out / "membership.txt", range(s.n), s.membership.tolist())
+    a, b = s.superedges.pairs  # ascending (a, b), as sorted() orders the tuples
+    graphmod.write_int_pairs(out / "superedges.txt", a.tolist(), b.tolist())
     if s.is_lossless:
         with open(out / "kinds.txt", "w", encoding="ascii") as fh:
-            for sid, kind in enumerate(s.kinds):
-                fh.write(f"{sid} {kind}\n")
+            fh.write("".join(f"{sid} {kind}\n" for sid, kind in enumerate(s.kinds)))
     if meta is not None:
         write_meta(meta, out / "meta.txt")
 
@@ -302,7 +347,14 @@ def read_meta(path: str | Path) -> dict[str, str]:
 
 
 def _read_pairs(path: Path) -> np.ndarray:
-    """The two integers on each non-blank line, as an (r, 2) int64 array."""
+    """The two integers on each non-blank line, as an (r, 2) int64 array.
+
+    Files the array parser rejects (signs, other whitespace, bad lines) are
+    read again line by line, which names the first line at fault.
+    """
+    pairs = graphmod.parse_int_pairs(path.read_bytes())
+    if pairs is not None:
+        return pairs
     lines = path.read_text(encoding="ascii").splitlines()
     rows = [tokens for tokens in map(str.split, lines) if tokens]
     try:

@@ -3,9 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphsum import EdgeListParseError, from_edges, load_edge_list, write_edge_list
-from graphsum.graph import Graph
+from graphsum.graph import Graph, _load_edge_lines, parse_int_pairs
 
 from conftest import random_graphs
 from generators import er_graph, path_graph, star_graph
@@ -74,6 +75,90 @@ class TestLoad:
         res = load_edge_list(write_lines(tmp_path, noisy, "b.txt"))
         assert res.graph == g1
         assert res.duplicate_edges == 4
+
+
+def load_outcome(load, path):
+    """A load's LoadResult fields, or its exception type and line number."""
+    try:
+        res = load(path)
+    except (EdgeListParseError, UnicodeDecodeError) as exc:
+        return type(exc), getattr(exc, "line_number", None)
+    return res.graph, res.original_ids, res.duplicate_edges, res.self_loops
+
+
+class TestArrayLoaderMatchesLineParser:
+    """load_edge_list parses accepted files as one array; the line parser
+    must give the same result, or the same error, on every input."""
+
+    @pytest.mark.parametrize(
+        "data, array_parsed",
+        [
+            # the malformed fixtures of test_parse_errors_carry_line_number
+            (b"0 1\nx 2\n", False),
+            (b"0 1\n1 2 3\n", False),
+            (b"-1 2\n", False),
+            (b"1\n", False),
+            (b"0 1 2 3\n", False),  # an even token count, four on one line
+            (b"0 1 2\n3\n", False),
+            (b"12345678901234567890 1\n1 2\n", False),  # over int64
+            (b"1000000000000000000 1\n", False),  # 19 digits
+            (b"999999999999999999 1\n", True),  # 18 digits
+            (b"+5 1\n", False),
+            (b"1_0 2\n", False),
+            (b"0\t1\n1 \t 2\n\t3\t0\t\n", True),
+            (b"0 1\r\n1 2\r\n", False),
+            (b"0 1\n1 2", True),  # no final newline
+            (b"", True),
+            (b"\n  \n\t\n", True),  # blank-only
+            (b"# comment\n#\n", False),  # comment-only
+            (b"007 01\n1 0007\n", True),  # leading zeros
+            (b"0 1\n1 \xe9\n", False),  # non-ASCII byte
+            (b"5 5\n5 6\n6 5\n\n7 5\n5 7\n", True),
+        ],
+    )
+    def test_fixture(self, tmp_path, data, array_parsed):
+        path = tmp_path / "g.txt"
+        path.write_bytes(data)
+        assert (parse_int_pairs(data) is not None) == array_parsed
+        assert load_outcome(load_edge_list, path) == load_outcome(_load_edge_lines, path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 2**62),
+                st.integers(0, 2**62),
+                st.sampled_from([" ", "\t", "  "]),
+                st.booleans(),  # write the pair reversed as well
+            ),
+            max_size=40,
+        ),
+        st.data(),
+    )
+    def test_round_trip_random_edge_lists(self, tmp_path_factory, rows, data):
+        lines = []
+        for a, b, sep, reverse in rows:
+            lines.append(f"{a}{sep}{b}")
+            if reverse:
+                lines.append(f"{b}{sep}{a}")
+        if lines:  # a duplicate and a self-loop drawn from the ids used
+            lines.append(data.draw(st.sampled_from(lines)))
+            loop = data.draw(st.sampled_from(lines)).split()[0]
+            lines.append(f"{loop} {loop}")
+        text = "".join(line + "\n" for line in lines).encode("ascii")
+        path = tmp_path_factory.mktemp("rt") / "g.txt"
+        path.write_bytes(text)
+        ids = [int(tok) for line in lines for tok in line.split()]
+        assert (parse_int_pairs(text) is not None) == all(x < 10**18 for x in ids)
+        res = load_edge_list(path)
+        assert load_outcome(load_edge_list, path) == load_outcome(_load_edge_lines, path)
+        assert res.original_ids == list(dict.fromkeys(ids))
+        orig = res.original_ids
+        loaded = {tuple(sorted((orig[u], orig[v]))) for u, v in res.graph.edges()}
+        pairs = [tuple(map(int, line.split())) for line in lines]
+        assert loaded == {tuple(sorted(p)) for p in pairs if p[0] != p[1]}
+        assert res.self_loops == sum(p[0] == p[1] for p in pairs)
+        assert res.duplicate_edges == len(pairs) - res.self_loops - res.graph.m
 
 
 class TestNeighbors:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from graphsum import (
     summarize_naive,
     verify_lossless,
 )
+from graphsum import lossless
 from graphsum.lossless import (
     build_superedges_lossless,
     candidate_supernodes,
@@ -118,6 +120,45 @@ class TestCandidates:
             frozenset(grp) for grp in reference.supernodes if len(grp) >= 2
         }
         assert {frozenset(grp) for grp in clique_groups + is_groups} == multi
+
+
+class TestWeakHash:
+    """A mixer that collides on purpose: buckets then hold false positives,
+    which the gathered row check must flag and the pivot loop must split."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [twin_rich_graph(seed) for seed in range(6)]
+        + [
+            er_graph(120, 0.05, 3),
+            ba_graph(150, 2, 4),
+            from_edges(40, list(er_graph(30, 0.1, 5).edges())),  # 10 isolated nodes
+        ],
+    )
+    def test_colliding_mixer_still_matches_naive(self, monkeypatch, g):
+        monkeypatch.setattr(lossless, "_mix64_array", lambda x: x % np.uint64(7))
+        pivot_loop = lossless._pivot_groups
+        split = []
+        monkeypatch.setattr(
+            lossless, "_pivot_groups", lambda keys: split.append(keys) or pivot_loop(keys)
+        )
+        s, naive = summarize(g), summarize_naive(g)
+        assert s.membership.tolist() == naive.membership.tolist()
+        assert s.superedges == naive.superedges
+        assert split, "no bucket held a false positive"
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_clean_buckets_group_without_pivot_loop(self, monkeypatch, seed):
+        # the real mixer leaves no false positive here: the gathered check
+        # alone must form every group
+        def pivot_loop(keys):
+            raise AssertionError("pivot loop ran")
+
+        monkeypatch.setattr(lossless, "_pivot_groups", pivot_loop)
+        g = twin_rich_graph(seed)
+        s, naive = summarize(g), summarize_naive(g)
+        assert s.membership.tolist() == naive.membership.tolist()
+        assert s.superedges == naive.superedges
 
 
 class TestFilter:

@@ -18,7 +18,7 @@ from graphsum import (
     summarize_lossy,
     summarize_naive,
 )
-from graphsum.summary import read_meta
+from graphsum.summary import PairSet, read_meta
 
 from generators import ba_graph, er_graph, twin_rich_graph
 
@@ -128,3 +128,31 @@ def test_builders_number_supernodes_by_first_appearance(g):
     lossy = [summarize_lossy(g, model, tau).summary for tau in (0.5, 0.8)]
     for s in [summarize(g), summarize_naive(g), *lossy]:
         assert numbered_by_first_appearance(s.membership)
+
+
+class TestPairSet:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=30))
+    def test_behaves_like_the_set_of_its_tuples(self, pairs):
+        ordered = sorted(pairs)
+        ps = PairSet([a for a, _ in ordered], [b for _, b in ordered])
+        assert ps == pairs and pairs == ps and ps == PairSet(*ps.pairs)
+        assert ps != pairs | {(10, 10)} and pairs | {(10, 10)} != ps
+        assert list(ps) == ordered and len(ps) == len(pairs) and bool(ps) == bool(pairs)
+        for a in range(-1, 11):
+            for b in range(-1, 11):
+                assert ((a, b) in ps) == ((a, b) in pairs)
+        assert (1, 2, 3) not in ps and 5 not in ps
+        assert (ps | {(10, 10)}) == pairs | {(10, 10)} and type(ps & pairs) is set
+
+    @pytest.mark.parametrize(
+        "a, b", [([0, 0], [1, 1]), ([1, 0], [0, 5]), ([0, 0], [2, 1]), ([0], [1, 2])]
+    )
+    def test_rejects_unsorted_or_repeated_pairs(self, a, b):
+        with pytest.raises(ValueError):
+            PairSet(a, b)
+
+    def test_summary_keeps_any_set_as_pairset(self):
+        s = Summary(np.array([0, 1, 2]), {(1, 2), (0, 2), (0, 0)})
+        assert isinstance(s.superedges, PairSet)
+        assert list(s.superedges) == [(0, 0), (0, 2), (1, 2)]
