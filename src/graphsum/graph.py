@@ -175,15 +175,21 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def _simple_graph(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
     """The graph on nodes 0..n-1 whose edges are the pairs (u[i], v[i]), none
-    a self-loop; directions and duplicates are merged by one sort of keys
-    lo*n + hi."""
-    keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
-    keys = keys[np.diff(keys, prepend=-1) != 0]
+    a self-loop; directions and duplicates are merged by distinct_pair_keys."""
+    keys = distinct_pair_keys(u, v, n)
     lo, hi = np.divmod(keys, n)
     src, dst = np.divmod(np.sort(np.concatenate([keys, hi * n + lo])), n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
     return Graph(offsets, dst)
+
+
+def distinct_pair_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """The distinct unordered pairs {u[i], v[i]} of ids in 0..n-1 as keys
+    lo*n + hi, lo <= hi, ascending. Deduped by one sort and a diff mask: a
+    flag-less np.unique takes a far slower hashing path on int64 in numpy 2.4."""
+    keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+    return keys[np.diff(keys, prepend=-1) != 0]
 
 
 @dataclass(frozen=True)

@@ -11,18 +11,19 @@ comparison, mop up singletons and build superedges in one edge sweep.
 The neighborhood hash is additive: the sum, wrapping in uint64, of a mixed
 value per member. It ignores order, so one np.add.reduceat over the
 adjacency arrays hashes every open neighborhood, and adding the node's own
-mixed value gives its closed one. Each bucket is then compared with its
-smallest node in one gathered pass over the neighbor rows.
+mixed value gives its closed one. Every bucket is then split into exact
+classes by rounds of one gathered pass over the neighbor rows, each node
+compared with the smallest node of its group; a bucket holding no false
+positive takes one round.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable
 
 import numpy as np
 
-from .graph import Graph, relabel_by_first_appearance
+from .graph import Graph, distinct_pair_keys, relabel_by_first_appearance
 from .summary import KIND_CLIQUE, KIND_INDEPENDENT_SET, PairSet, Summary
 
 DEFAULT_SEED = 42
@@ -58,43 +59,26 @@ def _neighbor_rows(g: Graph, nodes: np.ndarray, closed: bool) -> tuple[np.ndarra
 
 
 def candidate_supernodes(
-    g: Graph,
-    hash_fn: Callable[[tuple[int, ...]], int] | None = None,
-    seed: int = DEFAULT_SEED,
+    g: Graph, seed: int = DEFAULT_SEED
 ) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
     """Bucket nodes by hashed closed neighborhood (clique candidates) and by
     hashed open neighborhood (independent-set candidates); only buckets of
     two or more nodes are returned, each listing its nodes ascending.
 
-    The built-in hash is additive, so it needs no sorted order: the open
-    hash of v is the wrapping uint64 sum of mix64(x ^ seed) over x in N(v),
-    one np.add.reduceat over the adjacency, and the closed hash adds
+    The hash is additive, so it needs no sorted order: the open hash of v
+    is the wrapping uint64 sum of mix64(x ^ seed) over x in N(v), one
+    np.add.reduceat over the adjacency, and the closed hash adds
     mix64(v ^ seed). Hash collisions can put unrelated nodes in one bucket
     (false positives, removed later) but two nodes eligible for the same
-    supernode always share a bucket (no false negatives). Any deterministic
-    sequence-to-int hash_fn may replace it; it is called on each ascending
-    closed and open neighborhood tuple.
+    supernode always share a bucket (no false negatives).
     """
-    nodes = np.arange(g.n)
-    if hash_fn is None:
-        salt = np.uint64(seed & _MASK64)
-        mixed = _mix64_array(g.targets.astype(np.uint64) ^ salt)
-        nonempty = g.degrees > 0
-        open_hash = np.zeros(g.n, dtype=np.uint64)
-        open_hash[nonempty] = np.add.reduceat(mixed, g.offsets[:-1][nonempty])
-        closed_hash = open_hash + _mix64_array(nodes.astype(np.uint64) ^ salt)
-    else:  # object arrays keep any int hash_fn returns exact
-        rows = _row_lists(g, nodes, closed=True)
-        closed_hash = np.array([hash_fn(tuple(row)) for row in rows], dtype=object)
-        rows = _row_lists(g, nodes, closed=False)
-        open_hash = np.array([hash_fn(tuple(row)) for row in rows], dtype=object)
+    salt = np.uint64(seed & _MASK64)
+    mixed = _mix64_array(g.targets.astype(np.uint64) ^ salt)
+    nonempty = g.degrees > 0
+    open_hash = np.zeros(g.n, dtype=np.uint64)
+    open_hash[nonempty] = np.add.reduceat(mixed, g.offsets[:-1][nonempty])
+    closed_hash = open_hash + _mix64_array(np.arange(g.n, dtype=np.uint64) ^ salt)
     return _buckets(closed_hash), _buckets(open_hash)
-
-
-def _row_lists(g: Graph, nodes: np.ndarray, closed: bool) -> list[list[int]]:
-    """The rows of _neighbor_rows as Python lists."""
-    flat, ends = (a.tolist() for a in _neighbor_rows(g, nodes, closed))
-    return [flat[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
 
 def _buckets(hashes: np.ndarray) -> dict[int, list[int]]:
@@ -128,29 +112,34 @@ def filter_supernodes(
     node left whose exact (closed) neighborhood matches u's joins its group;
     the groups do not depend on the bucket's order. Nodes left alone fall
     out and become singletons later. `skip` drops nodes already claimed by
-    an earlier filtering pass.
+    an earlier filtering pass. Groups come bucket by bucket, in the order of
+    their smallest node, each ascending.
 
-    Every bucket is checked against its pivot at once, by one gathered
-    comparison of neighbor rows. Only a bucket holding a false positive
-    goes through the pivot loop, which groups what the pivot leaves over.
+    All buckets are split at once, in rounds: each node carries a group
+    label, at first its bucket, and one gathered comparison of neighbor
+    rows flags the nodes whose row differs from their group's pivot, which
+    split off into a group of their own. A bucket without a false positive
+    takes one round; a bucket of c exact classes takes c.
     """
     if kind not in (KIND_CLIQUE, KIND_INDEPENDENT_SET):
         raise ValueError(f"unknown filter kind {kind!r}")
-    closed = kind == KIND_CLIQUE
     nodes, first = _pending(buckets, skip)
-    starts = np.flatnonzero(first)
-    flat, ends = _neighbor_rows(g, nodes, closed)
-    mismatch = _rows_differ(flat, ends, starts[np.cumsum(first) - 1])
-    dirty = np.logical_or.reduceat(mismatch, starts).tolist() if len(starts) else []
-    members, rows = nodes.tolist(), None
-    groups: list[list[int]] = []
-    for lo, hi, false_positive in zip(starts.tolist(), [*starts[1:].tolist(), len(nodes)], dirty):
-        if not false_positive:
-            groups.append(members[lo:hi])
-            continue
-        rows = rows or _row_lists(g, nodes, closed)
-        groups += _pivot_groups({members[i]: rows[i] for i in range(lo, hi)})
-    return groups
+    flat, ends = _neighbor_rows(g, nodes, kind == KIND_CLIQUE)
+    group = np.cumsum(first) - 1
+    while True:
+        # a group's first position holds its smallest node: _pending lists
+        # each bucket ascending
+        _, pivot, group = np.unique(group, return_index=True, return_inverse=True)
+        differ = _rows_differ(flat, ends, pivot[group])
+        if not differ.any():
+            break
+        group = 2 * group + differ
+    grouped = np.bincount(group)[group] >= 2
+    nodes, at = nodes[grouped], pivot[group][grouped]
+    order = np.argsort(at, kind="stable")
+    nodes, at = nodes[order].tolist(), at[order]
+    starts = np.flatnonzero(np.diff(at, prepend=-1) != 0).tolist()
+    return [nodes[lo:hi] for lo, hi in zip(starts, [*starts[1:], len(nodes)])]
 
 
 def _pending(buckets: dict[int, list[int]], skip: set[int] | None) -> tuple[np.ndarray, np.ndarray]:
@@ -182,34 +171,16 @@ def _rows_differ(flat: np.ndarray, ends: np.ndarray, pivot: np.ndarray) -> np.nd
     return differ
 
 
-def _pivot_groups(keys: dict[int, list[int]]) -> list[list[int]]:
-    """Groups of size >= 2 of nodes with equal keys: the smallest node left
-    is the pivot and takes every node whose key equals its own."""
-    groups: list[list[int]] = []
-    remaining = set(keys)
-    while remaining:
-        u = min(remaining)
-        remaining.discard(u)
-        group = [u] + [v for v in sorted(remaining) if keys[v] == keys[u]]
-        if len(group) >= 2:
-            remaining.difference_update(group)
-            groups.append(sorted(group))
-    return groups
-
-
 def build_superedges_lossless(g: Graph, membership) -> PairSet:
     """One pass over E: a superedge exists iff some original edge crosses it.
 
     Intra-supernode edges (clique members) yield the self superedge.
-    Superpairs are keyed lo*k + hi and made distinct by one sort (a plain
-    np.unique takes a far slower hashing path on int64 in numpy 2.4).
+    Superpairs are the distinct_pair_keys of the edges' labels.
     """
     labels = np.asarray(membership, dtype=np.int64)
     k = int(labels.max(initial=0)) + 1
     u, v = g.edge_arrays
-    lu, lv = labels[u], labels[v]
-    keys = np.sort(np.minimum(lu, lv) * k + np.maximum(lu, lv))
-    return PairSet(*np.divmod(keys[np.diff(keys, prepend=-1) != 0], k))
+    return PairSet(*np.divmod(distinct_pair_keys(labels[u], labels[v], k), k))
 
 
 def _assemble(g: Graph, clique_groups, is_groups) -> Summary:

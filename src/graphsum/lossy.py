@@ -26,7 +26,7 @@ import numpy as np
 
 from .centrality import EdgeWeightModel, NodeCentrality
 from .errors import CapExceededError
-from .graph import Graph, relabel_by_first_appearance
+from .graph import Graph, distinct_pair_keys, relabel_by_first_appearance
 from .summary import PairSet, Summary
 from .unionfind import UnionFind
 
@@ -94,8 +94,8 @@ def _star_pair_keys(g: Graph, scores: np.ndarray) -> np.ndarray:
     first = np.repeat(starts[row] - np.cumsum(span) + span, span)
     a = np.repeat(targets[centers], span)
     b = targets[first + np.arange(span.sum())]
-    keys = np.sort((np.minimum(a, b) * n + np.maximum(a, b))[a != b])
-    return keys[np.diff(keys, prepend=-1) != 0]
+    apart = a != b
+    return distinct_pair_keys(a[apart], b[apart], n)
 
 
 def full_candidate_list(

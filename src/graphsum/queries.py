@@ -227,6 +227,10 @@ def shortest_path_length(s: Summary, u: int, v: int) -> float:
         ends = np.cumsum(counts)
         slots = np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
         reached = targets[slots]
-        frontier = np.unique(reached[~seen[reached]])
+        reached = reached[~seen[reached]]
+        reached.sort()  # sort and mask: a flag-less np.unique hashes, far slower in numpy 2.4
+        first = np.ones(reached.size, dtype=bool)
+        first[1:] = reached[1:] != reached[:-1]
+        frontier = reached[first]
         seen[frontier] = True
     return math.inf

@@ -182,7 +182,9 @@ class Summary:
         the instance; like every Graph it is immutable.
         """
         if self._super_graph is None:
-            self._super_graph = _supernode_graph(self.num_supernodes, *self.superedges.pairs)
+            a, b = self.superedges.pairs
+            cross = a != b
+            self._super_graph = graphmod._simple_graph(self.num_supernodes, a[cross], b[cross])
         return self._super_graph
 
     def implied_edge_count(self) -> int:
@@ -200,17 +202,6 @@ def _supernode_sizes(membership: np.ndarray) -> np.ndarray:
     if np.any(sizes == 0):
         raise ValueError(f"supernode id {np.argmin(sizes)} is unused")
     return sizes
-
-
-def _supernode_graph(k: int, a: np.ndarray, b: np.ndarray) -> Graph:
-    """CSR over k supernodes from the cross pairs among canonical pairs (a, b)."""
-    cross = a != b
-    src = np.concatenate([a[cross], b[cross]])
-    dst = np.concatenate([b[cross], a[cross]])
-    order = np.argsort(src * k + dst)
-    offsets = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=k), out=offsets[1:])
-    return Graph(offsets, dst[order])
 
 
 def reconstruct(s: Summary, max_edges: int = DEFAULT_RECONSTRUCT_CAP) -> Graph:
@@ -289,10 +280,11 @@ def load_summary(indir: str | Path) -> Summary:
     if unknown.size:
         a, b = unknown[0].tolist()
         raise _corrupt(path, f"superedge ({a},{b}) names an unknown supernode")
-    superedges = set(zip(pairs.min(axis=1).tolist(), pairs.max(axis=1).tolist()))
-    _check_count(path, meta, "superedges", len(superedges), "distinct superedges")
+    span = max(k, 1)  # k is 0 for an empty summary, which has no superedges
+    keys = graphmod.distinct_pair_keys(pairs[:, 0], pairs[:, 1], span)
+    _check_count(path, meta, "superedges", len(keys), "distinct superedges")
     path = src / "kinds.txt"
-    s = Summary(membership, superedges, is_lossless=path.exists())
+    s = Summary(membership, PairSet(*np.divmod(keys, span)), is_lossless=path.exists())
     if s.is_lossless:
         _check_kinds(path, s.kinds)
     return s
@@ -308,7 +300,7 @@ def _check_count(path: Path, meta: dict[str, str], key: str, count: int, what: s
 def _check_kinds(path: Path, kinds: list[str]) -> None:
     """kinds.txt must tag each supernode once, with its structural kind."""
     tagged: set[int] = set()
-    lines = path.read_text(encoding="ascii").splitlines()
+    lines = _read_text(path).splitlines()
     for lineno, tokens in enumerate(map(str.split, lines), start=1):
         if not tokens:
             continue
@@ -339,10 +331,9 @@ def write_meta(meta: dict[str, object], path: str | Path) -> None:
 
 def read_meta(path: str | Path) -> dict[str, str]:
     out: dict[str, str] = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            key, _, value = line.rstrip("\n").partition(" ")
-            out[key] = value
+    for line in _read_text(Path(path)).splitlines():
+        key, _, value = line.partition(" ")
+        out[key] = value
     return out
 
 
@@ -355,22 +346,23 @@ def _read_pairs(path: Path) -> np.ndarray:
     pairs = graphmod.parse_int_pairs(path.read_bytes())
     if pairs is not None:
         return pairs
-    lines = path.read_text(encoding="ascii").splitlines()
-    rows = [tokens for tokens in map(str.split, lines) if tokens]
-    try:
-        pairs = np.array(rows, dtype=np.int64)
-        if pairs.shape[1:] == (2,) or not rows:
-            return pairs.reshape(-1, 2)
-    except (ValueError, OverflowError):
-        pass
-    for lineno, tokens in enumerate(map(str.split, lines), start=1):
+    rows = []
+    for lineno, tokens in enumerate(map(str.split, _read_text(path).splitlines()), start=1):
         try:
             if tokens:
-                np.array(tokens, dtype=np.int64).reshape(2)
+                rows.append(np.array(tokens, dtype=np.int64).reshape(2))
         except (ValueError, OverflowError):
             got = " ".join(tokens)
             raise _corrupt(path, f"expected two integers, got {got!r}", lineno) from None
-    raise _corrupt(path, "expected two integers per line")
+    return np.array(rows, dtype=np.int64).reshape(-1, 2)
+
+
+def _read_text(path: Path) -> str:
+    """A summary file as text; every summary file is ASCII."""
+    try:
+        return path.read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise _corrupt(path, f"non-ASCII byte at offset {exc.start}") from None
 
 
 def _corrupt(path: Path, message: str, lineno: int | None = None) -> UnsupportedSummaryError:

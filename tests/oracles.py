@@ -132,6 +132,30 @@ def neighborhood_class_partition(g: Graph) -> list[frozenset[int]]:
     return groups
 
 
+def pivot_loop_groups(
+    g: Graph, buckets: dict[int, list[int]], closed: bool, skip=frozenset()
+) -> list[list[int]]:
+    """filter_supernodes one bucket at a time: the smallest node left in
+    the bucket takes every node whose (closed) neighbor tuple equals its
+    own, until the bucket is empty; groups of two or more are kept."""
+    groups: list[list[int]] = []
+    for bucket in buckets.values():
+        keys = {}
+        for v in bucket:
+            if v not in skip:
+                row = set(g.neighbors_list(v)) | ({v} if closed else set())
+                keys[v] = tuple(sorted(row))
+        remaining = set(keys)
+        while remaining:
+            u = min(remaining)
+            remaining.discard(u)
+            group = [u] + [v for v in sorted(remaining) if keys[v] == keys[u]]
+            if len(group) >= 2:
+                remaining.difference_update(group)
+                groups.append(sorted(group))
+    return groups
+
+
 def partition_key(groups) -> set[frozenset[int]]:
     return {frozenset(grp) for grp in groups}
 

@@ -280,6 +280,17 @@ class TestCorruptSummary:
         assert captured.out == ""
         assert "membership.txt" in captured.err and "supernodes=3" in captured.err
 
+    @pytest.mark.parametrize(
+        "name", ["membership.txt", "superedges.txt", "kinds.txt", "meta.txt"]
+    )
+    def test_non_ascii_byte(self, cycle4_summary, capsys, name):
+        path = cycle4_summary / name
+        path.write_bytes(b"\xe9" + path.read_bytes())
+        assert main(["query", "--summary", str(cycle4_summary), "sssp", "1", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert name in captured.err and "non-ASCII" in captured.err
+
     def test_intact_summary_still_answers(self, cycle4_summary, capsys):
         assert main(["query", "--summary", str(cycle4_summary), "sssp", "1", "3"]) == 0
         assert capsys.readouterr().out == "1 3 2\n"

@@ -37,11 +37,34 @@ from oracles import (
     loop_lossless_superedges,
     neighborhood_class_partition,
     partition_key,
+    pivot_loop_groups,
 )
+
+MIXERS = {
+    "real": lossless._mix64_array,
+    "mod7": lambda x: x % np.uint64(7),
+    "zero": np.zeros_like,
+}
+
+FILTER_GRAPHS = [twin_rich_graph(seed) for seed in range(6)] + [
+    er_graph(120, 0.05, 3),
+    ba_graph(150, 2, 4),
+    from_edges(40, list(er_graph(30, 0.1, 5).edges())),  # 10 isolated nodes
+]
 
 
 def groups_of(summary):
     return partition_key(summary.supernodes)
+
+
+def record_rounds(monkeypatch) -> list:
+    """Patch lossless._rows_differ to log one entry per filtering round."""
+    rounds = []
+    rows_differ = lossless._rows_differ
+    monkeypatch.setattr(
+        lossless, "_rows_differ", lambda *args: rounds.append(args) or rows_differ(*args)
+    )
+    return rounds
 
 
 class TestNaive:
@@ -106,11 +129,12 @@ class TestCandidates:
         g = er_graph(120, 0.08, 4)
         assert groups_of(summarize(g, seed=1)) == groups_of(summarize(g, seed=999))
 
-    def test_degenerate_hash_still_filters_exactly(self):
+    def test_degenerate_hash_still_filters_exactly(self, monkeypatch):
         # a constant hash throws every node into one bucket: maximal false
         # positives, yet filtering must recover the exact classes
+        monkeypatch.setattr(lossless, "_mix64_array", MIXERS["zero"])
         g = er_graph(80, 0.1, 10)
-        map_clique, map_is = candidate_supernodes(g, hash_fn=lambda seq: 0)
+        map_clique, map_is = candidate_supernodes(g)
         assert len(map_clique) == 1 and len(map_is) == 1
         clique_groups = filter_supernodes(g, map_clique, KIND_CLIQUE)
         claimed = {v for grp in clique_groups for v in grp}
@@ -124,41 +148,58 @@ class TestCandidates:
 
 class TestWeakHash:
     """A mixer that collides on purpose: buckets then hold false positives,
-    which the gathered row check must flag and the pivot loop must split."""
+    which the gathered row check must flag and split off."""
 
-    @pytest.mark.parametrize(
-        "g",
-        [twin_rich_graph(seed) for seed in range(6)]
-        + [
-            er_graph(120, 0.05, 3),
-            ba_graph(150, 2, 4),
-            from_edges(40, list(er_graph(30, 0.1, 5).edges())),  # 10 isolated nodes
-        ],
-    )
+    @pytest.mark.parametrize("g", FILTER_GRAPHS)
     def test_colliding_mixer_still_matches_naive(self, monkeypatch, g):
-        monkeypatch.setattr(lossless, "_mix64_array", lambda x: x % np.uint64(7))
-        pivot_loop = lossless._pivot_groups
-        split = []
-        monkeypatch.setattr(
-            lossless, "_pivot_groups", lambda keys: split.append(keys) or pivot_loop(keys)
-        )
+        monkeypatch.setattr(lossless, "_mix64_array", MIXERS["mod7"])
         s, naive = summarize(g), summarize_naive(g)
         assert s.membership.tolist() == naive.membership.tolist()
         assert s.superedges == naive.superedges
-        assert split, "no bucket held a false positive"
+        labels = naive.membership
+        buckets = itertools.chain(*(m.values() for m in candidate_supernodes(g)))
+        assert any(len(set(labels[b])) >= 2 for b in buckets), "no bucket held a false positive"
 
     @pytest.mark.parametrize("seed", range(6))
     def test_clean_buckets_group_without_pivot_loop(self, monkeypatch, seed):
-        # the real mixer leaves no false positive here: the gathered check
-        # alone must form every group
-        def pivot_loop(keys):
-            raise AssertionError("pivot loop ran")
-
-        monkeypatch.setattr(lossless, "_pivot_groups", pivot_loop)
+        # the real mixer leaves no false positive here: every bucket is one
+        # exact class, and one round of the gathered check forms every group
         g = twin_rich_graph(seed)
+        map_clique, map_is = candidate_supernodes(g)
+        for bucket in map_clique.values():
+            assert len({frozenset(g.neighbors_list(v)) | {v} for v in bucket}) == 1
+        for bucket in map_is.values():
+            assert len({frozenset(g.neighbors_list(v)) for v in bucket}) == 1
+        rounds = record_rounds(monkeypatch)
         s, naive = summarize(g), summarize_naive(g)
         assert s.membership.tolist() == naive.membership.tolist()
         assert s.superedges == naive.superedges
+        assert len(rounds) == 2  # one per filter_supernodes call
+
+
+class TestFilterMatchesPivotLoop:
+    """filter_supernodes against the per-bucket pivot loop, order included,
+    under mixers that collide never, often and always."""
+
+    @pytest.mark.parametrize("mixer", sorted(MIXERS))
+    @pytest.mark.parametrize("g", FILTER_GRAPHS)
+    def test_same_groups_in_same_order(self, monkeypatch, g, mixer):
+        monkeypatch.setattr(lossless, "_mix64_array", MIXERS[mixer])
+        map_clique, map_is = candidate_supernodes(g)
+        clique_groups = filter_supernodes(g, map_clique, KIND_CLIQUE)
+        assert clique_groups == pivot_loop_groups(g, map_clique, closed=True)
+        claimed = {v for grp in clique_groups for v in grp}
+        is_groups = filter_supernodes(g, map_is, KIND_INDEPENDENT_SET, skip=claimed)
+        assert is_groups == pivot_loop_groups(g, map_is, closed=False, skip=claimed)
+
+    def test_bucket_of_three_classes_splits_in_rounds(self, monkeypatch):
+        # leaves 3,4 | 5,6 | 7,8 share hub 0 | 1 | 2; the hubs stand alone
+        g = from_edges(9, [(0, 3), (0, 4), (1, 5), (1, 6), (2, 7), (2, 8)])
+        bucket = {9: [8, 3, 0, 6, 1, 4, 7, 2, 5]}
+        rounds = record_rounds(monkeypatch)
+        out = filter_supernodes(g, bucket, KIND_INDEPENDENT_SET)
+        assert out == pivot_loop_groups(g, bucket, closed=False) == [[3, 4], [5, 6], [7, 8]]
+        assert len(rounds) >= 3
 
 
 class TestFilter:

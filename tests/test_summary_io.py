@@ -62,6 +62,16 @@ def test_meta_round_trip(tmp_path):
     assert float(loaded["utility"]) == 1.0
 
 
+def test_repeated_and_reversed_superedge_lines_load_once(tmp_path):
+    s = summarize(er_graph(40, 0.15, 2))
+    save_summary(s, tmp_path / "out", {"superedges": s.num_superedges})
+    path = tmp_path / "out" / "superedges.txt"
+    lines = path.read_text().splitlines()
+    flipped = [" ".join(reversed(line.split())) for line in lines]
+    path.write_text("\n".join(lines[::-1] + flipped) + "\n")
+    assert load_summary(tmp_path / "out").superedges == s.superedges
+
+
 def test_validation_rejects_bad_membership():
     with pytest.raises(ValueError):
         Summary(np.array([0, 2]), set())
