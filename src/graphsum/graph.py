@@ -86,8 +86,8 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Canonical edges (u, v) with u < v, ascending lexicographic."""
-        u_list, v_list = self._edge_lists
-        return zip(u_list, v_list)
+        u, v = self.edge_arrays
+        return zip(u.tolist(), v.tolist())
 
     @cached_property
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -98,11 +98,6 @@ class Graph:
         u.setflags(write=False)
         v.setflags(write=False)
         return u, v
-
-    @cached_property
-    def _edge_lists(self) -> tuple[list[int], list[int]]:
-        u, v = self.edge_arrays
-        return u.tolist(), v.tolist()
 
     @cached_property
     def adjacency_lists(self) -> list[list[int]]:

@@ -74,22 +74,19 @@ def _super_triangles(adj: list[list[int]]) -> Iterator[tuple[int, int, int]]:
 def count_triangles(s: Summary) -> TriangleReport:
     """Triangle totals per type; the grand total equals the original graph's."""
     _require_lossless(s)
-    kinds = s.kinds
+    super_graph = s.super_adjacency()
+    a, b = super_graph.edge_arrays
+    reach = np.zeros(s.num_supernodes, dtype=np.int64)  # members of the neighbor supernodes
+    np.add.at(reach, a, s.sizes[b])
+    np.add.at(reach, b, s.sizes[a])
+    lo, hi = s.superedges.pairs
+    cliques = lo[lo == hi]  # a size-1 supernode adds nothing to either type
+    k = s.sizes[cliques].astype(object)  # Python ints: the products cannot overflow
+    count_a = int((k * (k - 1) * (k - 2) // 6).sum())
+    count_b = int((k * (k - 1) // 2 * reach[cliques]).sum())
     sizes = s.sizes.tolist()
-    adj = s.super_adjacency().adjacency_lists
-    count_a = 0
-    count_b = 0
-    for x in range(s.num_supernodes):
-        if kinds[x] != KIND_CLIQUE:
-            continue
-        k = sizes[x]
-        count_a += k * (k - 1) * (k - 2) // 6
-        pairs_in_x = k * (k - 1) // 2
-        for y in adj[x]:
-            count_b += pairs_in_x * sizes[y]
-    count_c = 0
-    for x, y, z in _super_triangles(adj):
-        count_c += sizes[x] * sizes[y] * sizes[z]
+    triples = _super_triangles(super_graph.adjacency_lists)
+    count_c = sum(sizes[x] * sizes[y] * sizes[z] for x, y, z in triples)
     return TriangleReport(count_a, count_b, count_c)
 
 

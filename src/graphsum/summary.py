@@ -8,7 +8,8 @@ A summary directory holds:
     meta.txt         "key value" records (algorithm, parameters, stats)
 
 Reconstruction expands each cross superedge to a complete bipartite graph
-and each self superedge to a clique.
+and each self superedge to a clique, as one array pass whose memory is
+O(implied edges); max_edges (the CLI's --cap-reconstruction) bounds it.
 """
 
 from __future__ import annotations
@@ -205,35 +206,35 @@ def _supernode_sizes(membership: np.ndarray) -> np.ndarray:
 
 
 def reconstruct(s: Summary, max_edges: int = DEFAULT_RECONSTRUCT_CAP) -> Graph:
-    """Expand a summary back into a concrete Graph.
-
-    Refuses when the implied edge count exceeds max_edges.
-    """
+    """Expand a summary back into a concrete Graph in one array pass, refusing
+    before any allocation when the implied edge count exceeds max_edges. Memory
+    stays under twice the implied edges: a self superedge fills both orders."""
     implied = s.implied_edge_count()
     if implied > max_edges:
         raise CapExceededError(
             f"reconstruction would materialize {implied} edges (cap {max_edges})"
         )
-    edges: list[tuple[int, int]] = []
-    for a, b in s.superedges:
-        if a == b:
-            members = s.members(a)
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    edges.append((members[i], members[j]))
-        else:
-            for u in s.members(a):
-                for v in s.members(b):
-                    edges.append((u, v))
-    return graphmod.from_edges(s.n, edges)
+    members = np.argsort(s.membership, kind="stable")  # grouped by supernode, ascending
+    first = np.cumsum(s.sizes) - s.sizes  # where each supernode's members start
+    a, b = s.superedges.pairs
+    slots = s.sizes[a] * s.sizes[b]
+    edge = np.repeat(np.arange(len(a)), slots)  # slot i * sizes[b] + j: members i of a, j of b
+    i, j = np.divmod(np.arange(len(edge)) - (np.cumsum(slots) - slots)[edge], s.sizes[b][edge])
+    u, v = members[first[a][edge] + i], members[first[b][edge] + j]
+    keep = u != v
+    return graphmod._simple_graph(s.n, u[keep], v[keep])
 
 
 # -- directory round trip ---------------------------------------------------
 
 
 def save_summary(s: Summary, outdir: str | Path, meta: dict[str, object] | None = None) -> None:
+    """Write s into outdir, removing an earlier kinds.txt or meta.txt it lacks."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
+    for name, written in (("kinds.txt", s.is_lossless), ("meta.txt", meta is not None)):
+        if not written:
+            (out / name).unlink(missing_ok=True)
     graphmod.write_int_pairs(out / "membership.txt", range(s.n), s.membership.tolist())
     a, b = s.superedges.pairs  # ascending (a, b), as sorted() orders the tuples
     graphmod.write_int_pairs(out / "superedges.txt", a.tolist(), b.tolist())

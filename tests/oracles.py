@@ -14,7 +14,9 @@ from collections import deque
 
 import numpy as np
 
-from graphsum import EdgeWeightModel, Graph, Summary
+from graphsum import CapExceededError, EdgeWeightModel, Graph, Summary, from_edges
+from graphsum.evaluate import LosslessnessReport
+from graphsum.summary import DEFAULT_RECONSTRUCT_CAP
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -262,3 +264,54 @@ def loop_lossless_superedges(g: Graph, labels) -> set[tuple[int, int]]:
         a, b = labels[u], labels[v]
         out.add((a, b) if a <= b else (b, a))
     return out
+
+
+def loop_reconstruct(s: Summary, max_edges: int = DEFAULT_RECONSTRUCT_CAP) -> Graph:
+    """reconstruct by nested loops over member lists: each member pair of
+    every superedge becomes one tuple for from_edges."""
+    implied = s.implied_edge_count()
+    if implied > max_edges:
+        raise CapExceededError(
+            f"reconstruction would materialize {implied} edges (cap {max_edges})"
+        )
+    edges: list[tuple[int, int]] = []
+    for a, b in s.superedges:
+        if a == b:
+            members = s.members(a)
+            for i in range(len(members)):
+                for j in range(i + 1, len(members)):
+                    edges.append((members[i], members[j]))
+        else:
+            for u in s.members(a):
+                for v in s.members(b):
+                    edges.append((u, v))
+    return from_edges(s.n, edges)
+
+
+def set_verify_lossless(
+    g: Graph, s: Summary, max_edges: int = DEFAULT_RECONSTRUCT_CAP
+) -> LosslessnessReport:
+    """verify_lossless by Python sets of edge tuples, over loop_reconstruct."""
+    if s.n != g.n:
+        raise ValueError("summary and graph disagree on node count")
+    original = set(g.edges())
+    restored = set(loop_reconstruct(s, max_edges=max_edges).edges())
+    if original == restored:
+        return LosslessnessReport(True, [], [])
+    missing = sorted(original - restored)[: LosslessnessReport.MAX_LISTED]
+    spurious = sorted(restored - original)[: LosslessnessReport.MAX_LISTED]
+    return LosslessnessReport(False, missing, spurious)
+
+
+def loop_triangle_types_ab(s: Summary) -> tuple[int, int]:
+    """count_triangles' types a and b by a loop over the clique supernodes
+    and their cross neighbors."""
+    adj = super_adjacency_lists(s)
+    count_a = count_b = 0
+    for x, kind in enumerate(s.kinds):
+        if kind != "clique":
+            continue
+        k = s.size(x)
+        count_a += k * (k - 1) * (k - 2) // 6
+        count_b += k * (k - 1) // 2 * sum(s.size(y) for y in adj[x])
+    return count_a, count_b

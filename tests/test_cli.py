@@ -167,6 +167,22 @@ def lossy_dir(er_file, tmp_path):
     return out
 
 
+class TestOverwrite:
+    def test_lossy_over_lossless_loads_as_lossy(self, tmp_path, capsys):
+        # an earlier summary's kinds.txt must not make a lossy one load as lossless
+        from graphsum import load_summary, write_edge_list
+
+        path = tmp_path / "er.txt"
+        write_edge_list(er_graph(16, 0.25, 196), path)
+        out = tmp_path / "sum"
+        assert main(["lossless", "--input", str(path), "--out", str(out)]) == 0
+        assert (out / "kinds.txt").exists()
+        assert main(["lossy", "--input", str(path), "--out", str(out), "--tau", "0.97"]) == 0
+        assert not (out / "kinds.txt").exists()
+        assert not load_summary(out).is_lossless
+        assert main(["query", "--summary", str(out), "triangles"]) == 3
+
+
 class TestQuery:
     def test_triangles_k4(self, k4_summary, capsys):
         assert main(["query", "--summary", str(k4_summary), "triangles"]) == 0
@@ -316,7 +332,8 @@ class TestEval:
         assert rc == 0
         assert capsys.readouterr().out == "lossless true\n"
 
-    def test_verify_lossless_mismatch_fails(self, k4_summary, star_file):
+    def test_verify_lossless_mismatch_fails(self, k4_summary, star_file, capsys):
+        capsys.readouterr()
         rc = main(
             [
                 "eval",
@@ -328,7 +345,21 @@ class TestEval:
                 str(star_file),
             ]
         )
-        assert rc != 0
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: summary and graph disagree on node count\n"
+
+    def test_verify_lossless_edge_mismatch_report(self, star_summary, tmp_path, capsys):
+        # the star summary against a 5-node graph that lacks a star edge and
+        # adds two leaf edges: the report lists each side in (u, v) order
+        path = tmp_path / "other.txt"
+        path.write_text("0 1\n0 2\n0 3\n1 2\n3 4\n")
+        capsys.readouterr()
+        argv = ["eval", "--summary", str(star_summary), "--metric", "verify-lossless"]
+        assert main([*argv, "--input", str(path)]) == 1
+        expected = "lossless false\nmissing 1 2\nmissing 3 4\nspurious 0 4\n"
+        assert capsys.readouterr().out == expected
 
     def test_verify_cap_exit(self, k4_summary, k4_file):
         rc = main(

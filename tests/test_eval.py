@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,16 +12,76 @@ from graphsum import (
     Summary,
     app_utility,
     build_weight_model,
+    degree_centrality,
     from_edges,
     pagerank,
+    reconstruct,
     reduction_in_nodes,
     summarize,
     summarize_lossy,
+    uniform_centrality,
     verify_lossless,
 )
+from graphsum.evaluate import top_nodes
 from graphsum.lossless import build_superedges_lossless
 
-from generators import complete_graph, er_graph, star_graph
+from generators import (
+    ba_graph,
+    complete_graph,
+    er_graph,
+    path_graph,
+    star_graph,
+    twin_rich_graph,
+)
+from oracles import loop_reconstruct, set_verify_lossless
+
+# Graphs whose lossless summaries are corrupted below: twin-rich blow-ups
+# (clique and independent-set supernodes), ER and BA (mostly singletons),
+# and the edge cases of no edges and no nodes.
+VERIFY_GRAPHS = {
+    **{f"twins{seed}": partial(twin_rich_graph, seed) for seed in range(6)},
+    **{f"er{seed}": partial(er_graph, 40, 0.1, seed) for seed in range(3)},
+    **{f"ba{seed}": partial(ba_graph, 40, 3, seed) for seed in range(3)},
+    "complete": partial(complete_graph, 6),
+    "star": partial(star_graph, 7),
+    "path": partial(path_graph, 9),
+    "edgeless": partial(from_edges, 5, []),
+    "empty": partial(from_edges, 0, []),
+}
+
+
+def corrupted_summaries(g, seed):
+    """The lossless summary of g, then variants that each break it once:
+    a dropped superedge, an added self and cross superedge, a moved member
+    and the coarsest wrong summaries (no superedges; one clique)."""
+    rng = random.Random(seed)
+    s = summarize(g)
+    yield "lossless", s
+    pairs = sorted(s.superedges)
+    k = s.num_supernodes
+    if pairs:
+        dropped = set(pairs) - {rng.choice(pairs)}
+        yield "dropped", Summary(s.membership, dropped, is_lossless=True)
+        yield "no-superedges", Summary(s.membership, set())
+    absent = [(a, b) for a in range(k) for b in range(a, k) if (a, b) not in s.superedges]
+    for name, loop in (("added-self", True), ("added-cross", False)):
+        # a self superedge on a single node implies no edge, so it breaks nothing
+        choices = [(a, b) for a, b in absent if (a == b) == loop and (a != b or s.sizes[a] > 1)]
+        if choices:
+            added = set(pairs) | {rng.choice(choices)}
+            yield name, Summary(s.membership, added, is_lossless=True)
+    if k > 1:
+        # u joins another supernode; ids are renumbered densely and the
+        # superedges of a supernode left empty are dropped
+        labels = s.membership.tolist()
+        u = rng.randrange(g.n)
+        labels[u] = rng.choice([x for x in range(k) if x != labels[u]])
+        dense: dict[int, int] = {}
+        labels = [dense.setdefault(x, len(dense)) for x in labels]
+        kept = {tuple(sorted((dense[a], dense[b]))) for a, b in pairs if a in dense and b in dense}
+        yield "moved", Summary(labels, kept)
+    if g.n:
+        yield "one-clique", Summary([0] * g.n, {(0, 0)})
 
 
 class TestReductionInNodes:
@@ -121,6 +182,45 @@ class TestVerifyLossless:
         assert report.missing_edges or report.spurious_edges
         assert len(report.missing_edges) <= 10
         assert len(report.spurious_edges) <= 10
+
+
+class TestArrayPassesMatchOracles:
+    @pytest.mark.parametrize("name", sorted(VERIFY_GRAPHS))
+    def test_reconstruct_and_report_match_loop_oracles(self, name):
+        g = VERIFY_GRAPHS[name]()
+        seen = set()
+        for seed in range(3):
+            for variant, s in corrupted_summaries(g, seed):
+                seen.add(variant)
+                assert reconstruct(s) == loop_reconstruct(s), variant
+                report = verify_lossless(g, s)
+                assert report == set_verify_lossless(g, s), variant
+                if variant == "lossless":
+                    assert report.lossless
+                elif variant in ("dropped", "no-superedges", "added-self", "added-cross"):
+                    assert not report.lossless, variant
+                if variant == "no-superedges":  # every edge is missing; ten are listed
+                    assert report.missing_edges == sorted(g.edges())[:10]
+                listed = report.missing_edges + report.spurious_edges
+                assert all(type(x) is int for pair in listed for x in pair)
+        assert "lossless" in seen
+        if g.m:
+            assert {"dropped", "no-superedges", "one-clique"} <= seen
+        if name.startswith(("twins", "er", "ba")):
+            assert {"added-cross", "moved"} <= seen
+
+
+class TestTopNodes:
+    @pytest.mark.parametrize("centrality", [uniform_centrality, degree_centrality])
+    @pytest.mark.parametrize("t_percent", [0.5, 10.0, 33.3, 100.0])
+    def test_matches_sorted_order(self, centrality, t_percent):
+        for g in (er_graph(50, 0.1, 1), ba_graph(60, 2, 4), twin_rich_graph(2)):
+            c = centrality(g)
+            k = math.ceil(t_percent / 100.0 * g.n)
+            expected = sorted(range(g.n), key=lambda u: (-c.scores[u], u))[:k]
+            got = top_nodes(c, t_percent)
+            assert got == expected
+            assert all(type(u) is int for u in got)
 
 
 class TestOptimalRnDominance:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -329,6 +330,15 @@ class TestSuperedges:
         s = summarize(complete_graph(30))
         with pytest.raises(CapExceededError):
             reconstruct(s, max_edges=10)
+        # the cap admits exactly the implied edge count, in verify_lossless too
+        g = twin_rich_graph(0)
+        s = summarize(g)
+        implied = s.implied_edge_count()
+        for check in (reconstruct, partial(verify_lossless, g)):
+            with pytest.raises(CapExceededError):
+                check(s, max_edges=implied - 1)
+        assert reconstruct(s, max_edges=implied) == g
+        assert verify_lossless(g, s, max_edges=implied).lossless
 
     @settings(max_examples=25, deadline=None)
     @given(random_graphs(max_n=35))

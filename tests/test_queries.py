@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from graphsum import (
+    Summary,
     UnsupportedSummaryError,
     build_weight_model,
     count_triangles,
@@ -35,6 +36,7 @@ from generators import (
 )
 from oracles import (
     bfs_distances,
+    loop_triangle_types_ab,
     super_adjacency_lists,
     triangle_count_matrix,
     triangle_set_enumeration,
@@ -88,6 +90,25 @@ class TestTriangles:
     @given(random_graphs(max_n=35))
     def test_count_matches_matrix_oracle(self, g):
         assert count_triangles(summarize(g)).total == triangle_count_matrix(g)
+
+    def test_types_a_b_match_loop_oracle(self, small_graph, tmp_path):
+        s = summarize(small_graph)
+        save_summary(s, tmp_path)
+        for summary in (s, load_summary(tmp_path)):
+            report = count_triangles(summary)
+            assert (report.count_a, report.count_b) == loop_triangle_types_ab(summary)
+            assert report.total == triangle_count_matrix(small_graph)
+
+    def test_huge_clique_counts_exactly(self):
+        # k * (k - 1) * (k - 2) exceeds int64 for k = 3,000,000
+        k = 3_000_000
+        s = Summary(np.r_[np.zeros(k, dtype=np.int64), 1], {(0, 0), (0, 1)}, is_lossless=True)
+        report = count_triangles(s)
+        assert (report.count_a, report.count_b, report.count_c) == (
+            math.comb(k, 3),
+            math.comb(k, 2),
+            0,
+        )
 
     @settings(max_examples=25, deadline=None)
     @given(random_graphs(max_n=25, max_p=0.7))

@@ -51,6 +51,21 @@ def test_lossy_round_trip_has_no_kinds_file(tmp_path):
     assert not loaded.is_lossless
 
 
+def test_saving_over_a_summary_replaces_its_files(tmp_path):
+    g = er_graph(60, 0.1, 3)
+    out = tmp_path / "out"
+    save_summary(summarize(g), out, {"algorithm": "lossless-clique-is", "n": g.n})
+    (out / "notes.txt").write_text("kept\n")
+    lossy = summarize_lossy(g, build_weight_model(g, pagerank(g)), 0.8).summary
+    save_summary(lossy, out)
+    assert sorted(p.name for p in out.iterdir()) == [
+        "membership.txt",
+        "notes.txt",
+        "superedges.txt",
+    ]
+    assert summaries_equal(lossy, load_summary(out))
+
+
 def test_meta_round_trip(tmp_path):
     g = er_graph(20, 0.2, 1)
     s = summarize(g)
