@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -28,18 +27,12 @@ CENTRALITY_KINDS = ("pagerank", "degree", "eigenvector", "betweenness")
 
 @dataclass(frozen=True)
 class NodeCentrality:
-    """Per-node nonnegative scores, tagged with how they were produced.
-
-    For pagerank, `normalized` records which convention the instance uses:
-    False means the power-iteration start P0(u) = 1 (scores sum to n on
-    graphs without degree-0 nodes), True means scores scaled to sum 1.
-    """
+    """Per-node nonnegative scores, tagged with how they were produced."""
 
     scores: np.ndarray = field(repr=False)
     kind: str
     converged: bool = True
     iterations: int = 0
-    normalized: bool = False
 
     def __post_init__(self):
         scores = np.array(self.scores, dtype=np.float64)  # private copy
@@ -58,43 +51,71 @@ def _neighbor_sums(g: Graph, values: np.ndarray) -> np.ndarray:
     return np.bincount(src, weights=values[g.targets], minlength=g.n)
 
 
-def pagerank(
+def pagerank_iteration(
     g: Graph,
-    damping: float = DEFAULT_DAMPING,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    normalized: bool = False,
-) -> NodeCentrality:
-    """Power iteration P(u) <- (1-d) + d * sum_{w in N(u)} P(w)/|N(w)|.
+    sizes: np.ndarray,
+    clique: np.ndarray,
+    damping: float,
+    tol: float,
+    max_iter: int,
+) -> tuple[np.ndarray, int, bool]:
+    """Power iteration of Pagerank totals over nodes of float size |x|,
+    some of them cliques of |x| members:
 
-    Starts from P0(u) = 1 and stops when the L1 change drops below tol.
-    damping=1 is the plain undamped recurrence. Degree-0 nodes contribute
-    nothing and settle at (1 - damping); the division by zero is never
-    evaluated. If max_iter is hit first, the last iterate is returned
-    flagged as non-converged.
+        P(x) <- (1-d)|x| + d (|x| sum_{y in N(x)} P(y)/W(y) + [x clique] (|x|-1) P(x)/W(x))
+
+    from P0(x) = |x|, where W(x) = sum_{y in N(x)} |y| + [x clique] (|x|-1)
+    is the degree each member of x has. Stops when the L1 change drops
+    below tol, or after max_iter rounds. Nodes with W = 0 contribute
+    nothing; the division by zero is never evaluated. Returns the totals,
+    the rounds run and whether the iteration converged.
     """
-    if g.n == 0:
-        raise ValueError("pagerank of an empty graph is undefined")
     if tol <= 0:
         raise ValueError("tol must be positive")
     if not 0.0 <= damping <= 1.0:
         raise ValueError("damping must lie in [0, 1]")
-    deg = g.degrees.astype(np.float64)
-    inv_deg = np.zeros(g.n)
-    np.divide(1.0, deg, out=inv_deg, where=deg > 0)
-    scores = np.ones(g.n)
+    src = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
+    flat = g.targets
+    w = np.bincount(src, weights=sizes[flat], minlength=g.n).astype(np.float64)
+    w[clique] += sizes[clique] - 1.0
+    inv_w = np.zeros(g.n)
+    np.divide(1.0, w, out=inv_w, where=w > 0)
+    scores = sizes.copy()
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        new = (1.0 - damping) + damping * _neighbor_sums(g, scores * inv_deg)
+        contrib = scores * inv_w
+        new = sizes * np.bincount(src, weights=contrib[flat], minlength=g.n)
+        new[clique] += (sizes[clique] - 1.0) * contrib[clique]
+        new = (1.0 - damping) * sizes + damping * new
         delta = float(np.abs(new - scores).sum())
         scores = new
         if delta < tol:
             converged = True
             break
-    if normalized:
-        scores = scores / g.n
-    return NodeCentrality(scores, "pagerank", converged, iterations, normalized)
+    return scores, iterations, converged
+
+
+def pagerank(
+    g: Graph,
+    damping: float = DEFAULT_DAMPING,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> NodeCentrality:
+    """Power iteration P(u) <- (1-d) + d * sum_{w in N(u)} P(w)/|N(w)|.
+
+    Starts from P0(u) = 1 and stops when the L1 change drops below tol.
+    damping=1 is the plain undamped recurrence. Degree-0 nodes settle at
+    (1 - damping). If max_iter is hit first, the last iterate is returned
+    flagged as non-converged. This is pagerank_iteration with every size
+    1 and no cliques.
+    """
+    if g.n == 0:
+        raise ValueError("pagerank of an empty graph is undefined")
+    scores, iterations, converged = pagerank_iteration(
+        g, np.ones(g.n), np.zeros(g.n, dtype=bool), damping, tol, max_iter
+    )
+    return NodeCentrality(scores, "pagerank", converged, iterations)
 
 
 def degree_centrality(g: Graph) -> NodeCentrality:
@@ -234,10 +255,3 @@ def edge_weight(model: EdgeWeightModel, u: int, v: int) -> float:
             "model.spurious_weight"
         )
     return model.pair_weight(u, v)
-
-
-def write_scores(c: NodeCentrality, path: str | Path) -> None:
-    """Serialize as "node_id value\\n", one line per node, full precision."""
-    with open(path, "w", encoding="ascii") as fh:
-        for u, x in enumerate(c.scores.tolist()):
-            fh.write(f"{u} {x!r}\n")

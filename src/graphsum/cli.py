@@ -7,7 +7,8 @@ Subcommands:
     query      triangles / pagerank / sssp on a saved lossless summary
     eval       rn / app-utility / verify-lossless reports
 
-Exit codes: 0 ok, 1 internal error, 2 usage, 3 unsupported input,
+Exit codes: 0 ok, 1 internal error (or verify-lossless reporting
+"lossless false"), 2 usage (a flag out of range), 3 unsupported input,
 4 resource cap exceeded. Identical flags and seed produce byte-identical
 output directories.
 """
@@ -18,13 +19,13 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import centrality as cent
 from . import evaluate, lossless, lossy, queries
 from .errors import (
     CapExceededError,
+    DegenerateWeightsError,
     GraphSumError,
     ModelUndefinedError,
     UnsupportedSummaryError,
@@ -42,68 +43,57 @@ EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_CAP = 4
 
+# Each exception type the commands raise and its exit code, subclasses
+# before their base classes.
+ERROR_EXITS = {
+    UnsupportedSummaryError: EXIT_UNSUPPORTED,
+    ModelUndefinedError: EXIT_UNSUPPORTED,
+    DegenerateWeightsError: EXIT_UNSUPPORTED,
+    CapExceededError: EXIT_CAP,
+    GraphSumError: EXIT_INTERNAL,
+    OSError: EXIT_INTERNAL,
+    ValueError: EXIT_INTERNAL,
+    IndexError: EXIT_INTERNAL,
+}
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a run depends on; recorded in meta.txt where applicable."""
+# The range of each numeric flag, checked before any command runs.
+FLAG_RANGES = {
+    "tau": (lambda x: 0.0 < x <= 1.0, "lie in (0, 1]"),
+    "top_percent": (lambda x: 0.0 < x <= 100.0, "lie in (0, 100]"),
+    "damping": (lambda x: 0.0 <= x <= 1.0, "lie in [0, 1]"),
+    "tol": (lambda x: x > 0.0, "be positive"),
+}
 
-    command: str
-    input: str | None = None
-    out: str | None = None
-    tau: float | None = None
-    centrality: str = "pagerank"
-    damping: float = cent.DEFAULT_DAMPING
-    tol: float = cent.DEFAULT_TOL
-    max_iter: int = cent.DEFAULT_MAX_ITER
-    seed: int = 42
-    top_percent: float = 20.0
-    cap_betweenness: int = cent.DEFAULT_BETWEENNESS_CAP
-    cap_reconstruction: int = DEFAULT_RECONSTRUCT_CAP
+# One entry per name in centrality.CENTRALITY_KINDS.
+CENTRALITIES = {
+    "pagerank": lambda g, args: cent.pagerank(g, args.damping, args.tol, args.max_iter),
+    "degree": lambda g, args: cent.degree_centrality(g),
+    "eigenvector": lambda g, args: cent.eigenvector_centrality(g, args.tol),
+    "betweenness": lambda g, args: cent.betweenness_centrality(g, cap=args.cap_betweenness),
+}
 
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        fields = {
-            name: getattr(args, name)
-            for name in cls.__dataclass_fields__
-            if hasattr(args, name)
-        }
-        return cls(**fields)
-
-    def usage_error(self) -> str | None:
-        """Validate before any real work (or memory) happens."""
-        if self.tau is not None and not 0.0 < self.tau <= 1.0:
-            return f"--tau must lie in (0, 1], got {self.tau}"
-        if not 0.0 < self.top_percent <= 100.0:
-            return f"--top-percent must lie in (0, 100], got {self.top_percent}"
-        return None
-
-
-def _stats_line(pairs: list[tuple[str, object]]) -> str:
-    return " ".join(f"{k}={v}" for k, v in pairs)
+SUMMARY_STATS = ("n", "m", "supernodes", "superedges", "rn")
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _compute_centrality(g, cfg: RunConfig) -> cent.NodeCentrality:
-    if cfg.centrality == "pagerank":
-        return cent.pagerank(g, cfg.damping, cfg.tol, cfg.max_iter)
-    if cfg.centrality == "degree":
-        return cent.degree_centrality(g)
-    if cfg.centrality == "eigenvector":
-        return cent.eigenvector_centrality(g, cfg.tol)
-    if cfg.centrality == "betweenness":
-        return cent.betweenness_centrality(g, cap=cfg.cap_betweenness)
-    raise ValueError(f"unknown centrality kind {cfg.centrality!r}")
+def _write_summary(args, loaded, s, meta: dict, stats: tuple[str, ...], t0: float) -> int:
+    """Save the summary and node_ids.txt, then print the stats line."""
+    out = Path(args.out)
+    save_summary(s, out, meta)
+    write_id_map(loaded, out / "node_ids.txt")
+    wall = time.perf_counter() - t0
+    print(*(f"{key}={meta[key]}" for key in stats), f"wall_time_s={wall:.3f}")
+    return EXIT_OK
 
 
 def cmd_lossless(args) -> int:
-    cfg = RunConfig.from_args(args)
     t0 = time.perf_counter()
-    loaded = load_edge_list(cfg.input)
+    loaded = load_edge_list(args.input)
     g = loaded.graph
-    s = lossless.summarize(g, seed=cfg.seed)
+    s = lossless.summarize(g, seed=args.seed)
     meta = {
         "algorithm": "lossless-clique-is",
         "n": g.n,
@@ -112,39 +102,18 @@ def cmd_lossless(args) -> int:
         "supernodes": s.num_supernodes,
         "superedges": s.num_superedges,
         "rn": _fmt(evaluate.reduction_in_nodes(s)) if g.n else _fmt(0.0),
-        "seed": cfg.seed,
+        "seed": args.seed,
     }
-    out = Path(cfg.out)
-    save_summary(s, out, meta)
-    write_id_map(loaded, out / "node_ids.txt")
-    wall = time.perf_counter() - t0
-    print(
-        _stats_line(
-            [
-                ("n", g.n),
-                ("m", g.m),
-                ("supernodes", s.num_supernodes),
-                ("superedges", s.num_superedges),
-                ("rn", meta["rn"]),
-                ("wall_time_s", f"{wall:.3f}"),
-            ]
-        )
-    )
-    return EXIT_OK
+    return _write_summary(args, loaded, s, meta, SUMMARY_STATS, t0)
 
 
 def cmd_lossy(args) -> int:
-    cfg = RunConfig.from_args(args)
-    problem = cfg.usage_error()
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return EXIT_USAGE
     t0 = time.perf_counter()
-    loaded = load_edge_list(cfg.input)
+    loaded = load_edge_list(args.input)
     g = loaded.graph
-    c = _compute_centrality(g, cfg)
+    c = CENTRALITIES[args.centrality](g, args)
     model = cent.build_weight_model(g, c)
-    result = lossy.summarize_lossy(g, model, cfg.tau)
+    result = lossy.summarize_lossy(g, model, args.tau)
     s = result.summary
     meta = {
         "algorithm": "lossy-threshold-mst",
@@ -153,37 +122,19 @@ def cmd_lossy(args) -> int:
         "supernodes": s.num_supernodes,
         "superedges": s.num_superedges,
         "rn": _fmt(evaluate.reduction_in_nodes(s)),
-        "tau": _fmt(cfg.tau),
+        "tau": _fmt(args.tau),
         "utility": _fmt(result.utility),
         "prefix_length": result.prefix_length,
         "mst_size": result.num_candidates,
-        "centrality": cfg.centrality,
-        "damping": _fmt(cfg.damping),
-        "tol": _fmt(cfg.tol),
-        "max_iter": cfg.max_iter,
+        "centrality": args.centrality,
+        "damping": _fmt(args.damping),
+        "tol": _fmt(args.tol),
+        "max_iter": args.max_iter,
         "tie_break": lossy.TIE_BREAK_RULE,
-        "seed": cfg.seed,
+        "seed": args.seed,
     }
-    out = Path(cfg.out)
-    save_summary(s, out, meta)
-    write_id_map(loaded, out / "node_ids.txt")
-    wall = time.perf_counter() - t0
-    print(
-        _stats_line(
-            [
-                ("n", g.n),
-                ("m", g.m),
-                ("supernodes", s.num_supernodes),
-                ("superedges", s.num_superedges),
-                ("rn", meta["rn"]),
-                ("tau", meta["tau"]),
-                ("utility", meta["utility"]),
-                ("prefix_length", result.prefix_length),
-                ("wall_time_s", f"{wall:.3f}"),
-            ]
-        )
-    )
-    return EXIT_OK
+    stats = (*SUMMARY_STATS, "tau", "utility", "prefix_length")
+    return _write_summary(args, loaded, s, meta, stats, t0)
 
 
 def _emit(lines: list[str], outdir: str | None, filename: str) -> None:
@@ -227,11 +178,6 @@ def cmd_query(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = RunConfig.from_args(args)
-    problem = cfg.usage_error()
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return EXIT_USAGE
     s = load_summary(args.summary)
     if args.metric == "rn":
         lines = [f"rn {evaluate.reduction_in_nodes(s)!r}"]
@@ -240,10 +186,13 @@ def cmd_eval(args) -> int:
     if args.input is None:
         print(f"error: --metric {args.metric} needs --input", file=sys.stderr)
         return EXIT_USAGE
+    g = load_edge_list(args.input).graph
+    if g.n != s.n:
+        print("error: summary and graph disagree on node count", file=sys.stderr)
+        return EXIT_UNSUPPORTED
     if args.metric == "app-utility":
-        loaded = load_edge_list(args.input)
-        c = _compute_centrality(loaded.graph, cfg)
-        report = evaluate.app_utility(s, c, cfg.top_percent)
+        c = CENTRALITIES[args.centrality](g, args)
+        report = evaluate.app_utility(s, c, args.top_percent)
         lines = [
             f"centrality {report.centrality_kind}",
             f"t_percent {report.t_percent!r}",
@@ -252,19 +201,14 @@ def cmd_eval(args) -> int:
         ]
         _emit(lines, args.out, "app_utility.txt")
         return EXIT_OK
-    if args.metric == "verify-lossless":
-        loaded = load_edge_list(args.input)
-        report = evaluate.verify_lossless(
-            loaded.graph, s, max_edges=args.cap_reconstruction
-        )
-        lines = [f"lossless {str(report.lossless).lower()}"]
-        for u, v in report.missing_edges:
-            lines.append(f"missing {u} {v}")
-        for u, v in report.spurious_edges:
-            lines.append(f"spurious {u} {v}")
-        _emit(lines, args.out, "verify_lossless.txt")
-        return EXIT_OK if report.lossless else EXIT_INTERNAL
-    return EXIT_USAGE
+    report = evaluate.verify_lossless(g, s, max_edges=args.cap_reconstruction)
+    lines = [f"lossless {str(report.lossless).lower()}"]
+    for u, v in report.missing_edges:
+        lines.append(f"missing {u} {v}")
+    for u, v in report.spurious_edges:
+        lines.append(f"spurious {u} {v}")
+    _emit(lines, args.out, "verify_lossless.txt")
+    return EXIT_OK if report.lossless else EXIT_INTERNAL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,20 +281,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for flag, (ok, rule) in FLAG_RANGES.items():
+        value = getattr(args, flag, None)
+        if value is not None and not ok(value):
+            name = "--" + flag.replace("_", "-")
+            print(f"error: {name} must {rule}, got {value}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         return args.func(args)
-    except UnsupportedSummaryError as exc:
+    except tuple(ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except ModelUndefinedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except (GraphSumError, OSError, ValueError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return next(code for kind, code in ERROR_EXITS.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -46,9 +46,8 @@ class MergePairList:
         return len(self.pairs)
 
     def __post_init__(self):
-        for i in range(1, len(self.weights)):
-            if self.weights[i] < self.weights[i - 1]:
-                raise ValueError("merge pair weights must be ascending")
+        if np.any(np.diff(self.weights) < 0):
+            raise ValueError("merge pair weights must be ascending")
 
 
 def two_hop_mst(g: Graph, c: NodeCentrality) -> MergePairList:

@@ -22,7 +22,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .centrality import DEFAULT_DAMPING, DEFAULT_MAX_ITER, DEFAULT_TOL
+from .centrality import DEFAULT_DAMPING, DEFAULT_MAX_ITER, DEFAULT_TOL, pagerank_iteration
 from .errors import UnsupportedSummaryError
 from .summary import KIND_CLIQUE, Summary
 
@@ -139,51 +139,19 @@ def pagerank_on_summary(
 
     Every node inside supernode X has W(X) neighbors in the original graph:
     the members of X's neighbor supernodes, plus |X|-1 clique siblings.
-    With start P0(X) = |X| and the update
-
-        P(X) <- (1-damping)*|X| + damping * (|X| * sum_Y P(Y)/W(Y) [+ clique term])
-
-    node scores P(X)/|X| match the per-node recurrence on the original
-    graph exactly, iteration by iteration.
+    pagerank_iteration over the supernode graph, with sizes |X| and the
+    clique tags, starts from P0(X) = |X|, and the node scores P(X)/|X|
+    match the per-node recurrence on the original graph exactly,
+    iteration by iteration.
     """
     _require_lossless(s)
     if s.n == 0:
         raise ValueError("pagerank of an empty summary is undefined")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    k = s.num_supernodes
     sizes = s.sizes.astype(np.float64)
-    clique = np.array([kind == KIND_CLIQUE for kind in s.kinds], dtype=bool)
-    sg = s.super_adjacency()
-    flat = sg.targets
-    src = np.repeat(np.arange(k, dtype=np.int64), sg.degrees)
-
-    w = np.zeros(k)
-    if len(flat):
-        w = np.bincount(src, weights=sizes[flat], minlength=k)
-    w[clique] += sizes[clique] - 1.0
-
-    inv_w = np.zeros(k)
-    np.divide(1.0, w, out=inv_w, where=w > 0)
-
-    scores = sizes.copy()
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        contrib = scores * inv_w
-        pulled = (
-            np.bincount(src, weights=contrib[flat], minlength=k)
-            if len(flat)
-            else np.zeros(k)
-        )
-        new = sizes * pulled
-        new[clique] += (sizes[clique] - 1.0) * contrib[clique]
-        new = (1.0 - damping) * sizes + damping * new
-        delta = float(np.abs(new - scores).sum())
-        scores = new
-        if delta < tol:
-            converged = True
-            break
+    clique = np.asarray(s.kinds) == KIND_CLIQUE
+    scores, iterations, converged = pagerank_iteration(
+        s.super_adjacency(), sizes, clique, damping, tol, max_iter
+    )
     node_scores = (scores / sizes)[s.membership]
     return SummaryPagerank(scores, node_scores, iterations, converged)
 

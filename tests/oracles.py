@@ -66,6 +66,70 @@ def dense_pagerank(
     return p
 
 
+def loop_pagerank(
+    g: Graph, damping: float, tol: float, max_iter: int
+) -> tuple[np.ndarray, int, bool]:
+    """The per-node power iteration as a loop of its own, rebuilding the
+    row index every round: (scores, iterations, converged)."""
+    deg = g.degrees.astype(np.float64)
+    inv_deg = np.zeros(g.n)
+    np.divide(1.0, deg, out=inv_deg, where=deg > 0)
+    scores = np.ones(g.n)
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        src = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
+        pulled = np.bincount(src, weights=(scores * inv_deg)[g.targets], minlength=g.n)
+        new = (1.0 - damping) + damping * pulled
+        delta = float(np.abs(new - scores).sum())
+        scores = new
+        if delta < tol:
+            converged = True
+            break
+    return scores, iterations, converged
+
+
+def loop_summary_pagerank(
+    s: Summary, damping: float, tol: float, max_iter: int
+) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """The supernode-total power iteration as a loop of its own:
+    (supernode scores, node scores, iterations, converged)."""
+    k = s.num_supernodes
+    sizes = s.sizes.astype(np.float64)
+    clique = np.array([kind == "clique" for kind in s.kinds], dtype=bool)
+    sg = s.super_adjacency()
+    flat = sg.targets
+    src = np.repeat(np.arange(k, dtype=np.int64), sg.degrees)
+
+    w = np.zeros(k)
+    if len(flat):
+        w = np.bincount(src, weights=sizes[flat], minlength=k)
+    w[clique] += sizes[clique] - 1.0
+
+    inv_w = np.zeros(k)
+    np.divide(1.0, w, out=inv_w, where=w > 0)
+
+    scores = sizes.copy()
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        contrib = scores * inv_w
+        pulled = (
+            np.bincount(src, weights=contrib[flat], minlength=k)
+            if len(flat)
+            else np.zeros(k)
+        )
+        new = sizes * pulled
+        new[clique] += (sizes[clique] - 1.0) * contrib[clique]
+        new = (1.0 - damping) * sizes + damping * new
+        delta = float(np.abs(new - scores).sum())
+        scores = new
+        if delta < tol:
+            converged = True
+            break
+    return scores, (scores / sizes)[s.membership], iterations, converged
+
+
 def bfs_distances(g: Graph, source: int) -> list[float]:
     dist: list[float] = [math.inf] * g.n
     dist[source] = 0

@@ -20,7 +20,6 @@ from graphsum import (
     pagerank,
     uniform_centrality,
 )
-from graphsum.centrality import write_scores
 
 from conftest import random_graphs
 from generators import (
@@ -55,13 +54,6 @@ class TestPagerank:
         assert all(g.degree(u) > 0 for u in range(g.n))
         pr = pagerank(g)
         assert abs(pr.scores.sum() - g.n) < 1e-6
-        assert pr.normalized is False
-
-    def test_normalized_convention(self):
-        g = er_graph(60, 0.2, 3)
-        pr = pagerank(g, normalized=True)
-        assert abs(pr.scores.sum() - 1.0) < 1e-6
-        assert pr.normalized is True
 
     def test_isolated_node_decays_to_one_minus_damping(self):
         g = from_edges(3, [(0, 1)])
@@ -198,16 +190,3 @@ class TestWeightModel:
                 == full_candidate_list(g, scaled).pairs
             )
             assert two_hop_mst(g, base).pairs == two_hop_mst(g, scaled).pairs
-
-
-def test_write_scores_full_precision(tmp_path):
-    g = path_graph(3)
-    pr = pagerank(g)
-    out = tmp_path / "scores.txt"
-    write_scores(pr, out)
-    lines = out.read_text().splitlines()
-    assert len(lines) == 3
-    for u, line in enumerate(lines):
-        node, value = line.split()
-        assert int(node) == u
-        assert float(value) == pr.scores[u]

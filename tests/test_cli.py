@@ -16,7 +16,8 @@ from graphsum import (
     summarize,
     summarize_lossy,
 )
-from graphsum.cli import main
+from graphsum.centrality import CENTRALITY_KINDS
+from graphsum.cli import CENTRALITIES, main
 from graphsum.summary import read_meta
 
 from generators import complete_graph, er_graph, star_graph
@@ -120,6 +121,18 @@ class TestLossy:
             ["lossy", "--input", str(er_file), "--out", str(tmp_path / "o"), "--tau", "1.5"]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "text, flags",
+        [("1 1\n2 2\n3 3\n", []), ("0 1\n2 3\n", ["--centrality", "betweenness"])],
+        ids=["no-edges", "zero-betweenness"],
+    )
+    def test_zero_edge_centralities_refused(self, tmp_path, capsys, text, flags):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        argv = ["lossy", "--input", str(path), "--out", str(tmp_path / "o"), "--tau", "0.9"]
+        assert main([*argv, *flags]) == 3
+        assert "sum of edge centralities is zero" in capsys.readouterr().err
 
     def test_complete_graph_refused(self, k4_file, tmp_path):
         rc = main(
@@ -345,7 +358,15 @@ class TestEval:
                 str(star_file),
             ]
         )
-        assert rc == 1
+        assert rc == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: summary and graph disagree on node count\n"
+
+    def test_app_utility_node_count_mismatch(self, lossy_dir, star_file, capsys):
+        capsys.readouterr()
+        argv = ["eval", "--summary", str(lossy_dir), "--metric", "app-utility"]
+        assert main([*argv, "--input", str(star_file)]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: summary and graph disagree on node count\n"
@@ -458,6 +479,55 @@ def test_console_entry_point_runs(k4_file, tmp_path):
     )
     assert proc.returncode == 0
     assert "supernodes=1" in proc.stdout
+
+
+class TestFlagRanges:
+    """A numeric flag out of range exits 2 before any work is done."""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--damping", "3"], "--damping must lie in [0, 1], got 3.0"),
+            (["--damping", "-0.5"], "--damping must lie in [0, 1], got -0.5"),
+            (["--tol", "0"], "--tol must be positive, got 0.0"),
+        ],
+    )
+    def test_lossy(self, er_file, tmp_path, capsys, flags, message):
+        out = tmp_path / "o"
+        argv = ["lossy", "--input", str(er_file), "--out", str(out), "--tau", "0.8"]
+        assert main([*argv, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--damping", "3"], "--damping must lie in [0, 1], got 3.0"),
+            (["--tol=-1e-9"], "--tol must be positive, got -1e-09"),
+        ],
+    )
+    def test_query_pagerank(self, star_summary, capsys, flags, message):
+        capsys.readouterr()
+        assert main(["query", "--summary", str(star_summary), "pagerank", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_eval_top_percent(self, lossy_dir, er_file, capsys):
+        capsys.readouterr()
+        argv = ["eval", "--summary", str(lossy_dir), "--metric", "app-utility"]
+        assert main([*argv, "--input", str(er_file), "--top-percent", "0"]) == 2
+        assert capsys.readouterr().err == "error: --top-percent must lie in (0, 100], got 0.0\n"
+
+    def test_bounds_accepted(self, star_summary, capsys):
+        for damping in ("0", "1"):
+            assert main(["query", "--summary", str(star_summary), "pagerank", "--damping", damping]) == 0
+
+
+def test_every_centrality_kind_has_a_cli_entry():
+    assert tuple(CENTRALITIES) == CENTRALITY_KINDS
 
 
 def test_usage_error_exit_code():

@@ -344,6 +344,11 @@ class TestSummarizeLossy:
         assert labels[1] == labels[2]
         assert labels[4] == labels[5] == labels[6]
 
+    @pytest.mark.parametrize("weights", [[1.0, 0.5], [1.0, 2.0, 2.0, 1.5]])
+    def test_candidate_weights_must_ascend(self, weights):
+        with pytest.raises(ValueError, match="ascending"):
+            MergePairList([(0, i + 1) for i in range(len(weights))], weights)
+
     def test_er_frozen_instance(self):
         g = er_graph(80, 0.15, 8)
         model = build_weight_model(g, pagerank(g))

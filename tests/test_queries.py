@@ -36,6 +36,8 @@ from generators import (
 )
 from oracles import (
     bfs_distances,
+    loop_pagerank,
+    loop_summary_pagerank,
     loop_triangle_types_ab,
     super_adjacency_lists,
     triangle_count_matrix,
@@ -171,6 +173,49 @@ class TestSummaryPagerank:
     def test_lossy_summary_rejected(self, lossy_summary):
         with pytest.raises(UnsupportedSummaryError):
             pagerank_on_summary(lossy_summary)
+
+    @pytest.mark.parametrize("kwargs", [{"damping": 1.5}, {"damping": -0.1}, {"tol": 0}])
+    def test_out_of_range_parameters_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            pagerank_on_summary(summarize(star_graph(4)), **kwargs)
+
+
+# Graph and summary Pagerank run one shared iteration; the loops they
+# replaced are the oracles, and the results must match bit for bit.
+PAGERANK_GRAPHS = {
+    **{f"er{seed}": partial(er_graph, 80, 0.08, seed) for seed in range(2)},
+    **{f"ba{seed}": partial(ba_graph, 120, 3, seed) for seed in range(2)},
+    **{f"twins{seed}": partial(twin_rich_graph, seed) for seed in range(2)},
+    "complete": partial(complete_graph, 5),
+    "star": partial(star_graph, 6),
+    "path": partial(path_graph, 7),
+    "edgeless": partial(from_edges, 5, []),
+}
+
+
+def assert_pagerank_matches_loops(g, damping, tol=1e-10, max_iter=200):
+    pr = pagerank(g, damping=damping, tol=tol, max_iter=max_iter)
+    scores, iterations, converged = loop_pagerank(g, damping, tol, max_iter)
+    assert pr.scores.tobytes() == scores.tobytes()
+    assert (pr.iterations, pr.converged) == (iterations, converged)
+    s = summarize(g)
+    ours = pagerank_on_summary(s, damping=damping, tol=tol, max_iter=max_iter)
+    totals, node_scores, iterations, converged = loop_summary_pagerank(s, damping, tol, max_iter)
+    assert ours.supernode_scores.tobytes() == totals.tobytes()
+    assert ours.node_scores.tobytes() == node_scores.tobytes()
+    assert (ours.iterations, ours.converged) == (iterations, converged)
+
+
+@pytest.mark.parametrize("damping", [0.0, 0.5, 0.85, 1.0])
+@pytest.mark.parametrize("name", list(PAGERANK_GRAPHS))
+def test_pagerank_bitwise_equal_to_loop_oracles(name, damping):
+    assert_pagerank_matches_loops(PAGERANK_GRAPHS[name](), damping)
+
+
+def test_pagerank_at_max_iter_equal_to_loop_oracles():
+    # the undamped iteration oscillates on a bipartite path
+    assert not pagerank(path_graph(3), damping=1.0, max_iter=25).converged
+    assert_pagerank_matches_loops(path_graph(3), 1.0, max_iter=25)
 
 
 class TestShortestPaths:
