@@ -47,8 +47,7 @@ class NodeCentrality:
 
 def _neighbor_sums(g: Graph, values: np.ndarray) -> np.ndarray:
     """sums[u] = sum of values[w] over w in N(u)."""
-    src = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
-    return np.bincount(src, weights=values[g.targets], minlength=g.n)
+    return np.bincount(g.sources, weights=values[g.targets], minlength=g.n)
 
 
 def pagerank_iteration(
@@ -74,9 +73,7 @@ def pagerank_iteration(
         raise ValueError("tol must be positive")
     if not 0.0 <= damping <= 1.0:
         raise ValueError("damping must lie in [0, 1]")
-    src = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
-    flat = g.targets
-    w = np.bincount(src, weights=sizes[flat], minlength=g.n).astype(np.float64)
+    w = _neighbor_sums(g, sizes).astype(np.float64)  # float even with no edges
     w[clique] += sizes[clique] - 1.0
     inv_w = np.zeros(g.n)
     np.divide(1.0, w, out=inv_w, where=w > 0)
@@ -85,7 +82,7 @@ def pagerank_iteration(
     iterations = 0
     for iterations in range(1, max_iter + 1):
         contrib = scores * inv_w
-        new = sizes * np.bincount(src, weights=contrib[flat], minlength=g.n)
+        new = sizes * _neighbor_sums(g, contrib)
         new[clique] += (sizes[clique] - 1.0) * contrib[clique]
         new = (1.0 - damping) * sizes + damping * new
         delta = float(np.abs(new - scores).sum())

@@ -26,6 +26,7 @@ from . import evaluate, lossless, lossy, queries
 from .errors import (
     CapExceededError,
     DegenerateWeightsError,
+    EdgeListParseError,
     GraphSumError,
     ModelUndefinedError,
     UnsupportedSummaryError,
@@ -50,6 +51,7 @@ ERROR_EXITS = {
     ModelUndefinedError: EXIT_UNSUPPORTED,
     DegenerateWeightsError: EXIT_UNSUPPORTED,
     CapExceededError: EXIT_CAP,
+    EdgeListParseError: EXIT_UNSUPPORTED,
     GraphSumError: EXIT_INTERNAL,
     OSError: EXIT_INTERNAL,
     ValueError: EXIT_INTERNAL,
@@ -62,6 +64,7 @@ FLAG_RANGES = {
     "top_percent": (lambda x: 0.0 < x <= 100.0, "lie in (0, 100]"),
     "damping": (lambda x: 0.0 <= x <= 1.0, "lie in [0, 1]"),
     "tol": (lambda x: x > 0.0, "be positive"),
+    "max_iter": (lambda x: x >= 1, "be at least 1"),
 }
 
 # One entry per name in centrality.CENTRALITY_KINDS.
@@ -77,6 +80,21 @@ SUMMARY_STATS = ("n", "m", "supernodes", "superedges", "rn")
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _warn_unconverged(kind: str, result) -> None:
+    """Say on stderr when an iteration stopped at its round limit; the
+    command goes on with the last iterate."""
+    if not result.converged:
+        rounds = result.iterations
+        print(f"warning: {kind} did not converge in {rounds} iterations", file=sys.stderr)
+
+
+def _centrality(g, args) -> cent.NodeCentrality:
+    """The --centrality scores of g, with a warning if they did not converge."""
+    c = CENTRALITIES[args.centrality](g, args)
+    _warn_unconverged(c.kind, c)
+    return c
 
 
 def _write_summary(args, loaded, s, meta: dict, stats: tuple[str, ...], t0: float) -> int:
@@ -111,8 +129,7 @@ def cmd_lossy(args) -> int:
     t0 = time.perf_counter()
     loaded = load_edge_list(args.input)
     g = loaded.graph
-    c = CENTRALITIES[args.centrality](g, args)
-    model = cent.build_weight_model(g, c)
+    model = cent.build_weight_model(g, _centrality(g, args))
     result = lossy.summarize_lossy(g, model, args.tau)
     s = result.summary
     meta = {
@@ -157,6 +174,7 @@ def cmd_query(args) -> int:
         )
     elif args.query == "pagerank":
         pr = queries.pagerank_on_summary(s, args.damping, args.tol, args.max_iter)
+        _warn_unconverged("pagerank", pr)
         lines = [f"{u} {x!r}" for u, x in enumerate(pr.node_scores.tolist())]
         _emit(lines, args.out, "pagerank.txt")
     elif args.query == "sssp":
@@ -191,8 +209,7 @@ def cmd_eval(args) -> int:
         print("error: summary and graph disagree on node count", file=sys.stderr)
         return EXIT_UNSUPPORTED
     if args.metric == "app-utility":
-        c = CENTRALITIES[args.centrality](g, args)
-        report = evaluate.app_utility(s, c, args.top_percent)
+        report = evaluate.app_utility(s, _centrality(g, args), args.top_percent)
         lines = [
             f"centrality {report.centrality_kind}",
             f"t_percent {report.t_percent!r}",

@@ -62,8 +62,7 @@ class Graph:
         return self.targets[self.offsets[u] : self.offsets[u + 1]]
 
     def neighbors_list(self, u: int) -> list[int]:
-        self._check_node(u)
-        return self.targets[self.offsets[u] : self.offsets[u + 1]].tolist()
+        return self.neighbors(u).tolist()
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_node(u)
@@ -92,12 +91,33 @@ class Graph:
     @cached_property
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The canonical edges of edges() as two read-only int64 arrays."""
-        src = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.offsets))
-        forward = src < self.targets
-        u, v = src[forward], self.targets[forward].astype(np.int64, copy=False)
+        forward = self.sources < self.targets
+        u, v = self.sources[forward], self.targets[forward].astype(np.int64, copy=False)
         u.setflags(write=False)
         v.setflags(write=False)
         return u, v
+
+    @cached_property
+    def sources(self) -> np.ndarray:
+        """The node whose row holds each targets slot (read-only int64)."""
+        src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
+        src.setflags(write=False)
+        return src
+
+    def rows(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ascending neighbor rows of nodes, concatenated, and each row's end in them."""
+        deg = self.degrees[nodes]
+        ends = np.cumsum(deg)
+        slots = np.repeat(self.offsets[nodes] - ends + deg, deg)
+        return self.targets[slots + np.arange(len(slots))], ends
+
+    def row_reduce(self, ufunc: np.ufunc, values: np.ndarray, empty) -> np.ndarray:
+        """Per node, ufunc reduced over its row's slots of values (one value per
+        targets slot), or empty for a degree-0 node, which reduceat cannot give."""
+        nonempty = self.degrees > 0
+        out = np.full(self.n, empty, dtype=values.dtype)
+        out[nonempty] = ufunc.reduceat(values, self.offsets[:-1][nonempty])
+        return out
 
     @cached_property
     def adjacency_lists(self) -> list[list[int]]:

@@ -9,9 +9,9 @@ as the optimality oracle. `summarize` is the scalable pipeline: hash every
 comparison, mop up singletons and build superedges in one edge sweep.
 
 The neighborhood hash is additive: the sum, wrapping in uint64, of a mixed
-value per member. It ignores order, so one np.add.reduceat over the
-adjacency arrays hashes every open neighborhood, and adding the node's own
-mixed value gives its closed one. Every bucket is then split into exact
+value per member. It ignores order, so one row sum over the adjacency
+(Graph.row_reduce) hashes every open neighborhood, and adding the node's
+own mixed value gives its closed one. Every bucket is then split into exact
 classes by rounds of one gathered pass over the neighbor rows, each node
 compared with the smallest node of its group; a bucket holding no false
 positive takes one round.
@@ -46,15 +46,13 @@ def _neighbor_rows(g: Graph, nodes: np.ndarray, closed: bool) -> tuple[np.ndarra
     Each row ascends; a closed row also holds the node itself, merged into
     place by one lexsort.
     """
-    deg = g.degrees[nodes]
-    total = int(deg.sum())
-    ends = np.cumsum(deg)
-    flat = g.targets[np.repeat(g.offsets[nodes] - ends + deg, deg) + np.arange(total)]
+    flat, ends = g.rows(nodes)
     if closed:
         values = np.concatenate([flat, nodes])
-        row = np.concatenate([np.repeat(np.arange(len(nodes)), deg), np.arange(len(nodes))])
+        index = np.arange(len(nodes))
+        row = np.concatenate([np.repeat(index, g.degrees[nodes]), index])
         flat = values[np.lexsort((values, row))]
-        ends = ends + np.arange(1, len(nodes) + 1)
+        ends = ends + index + 1
     return flat.astype(np.int64, copy=False), ends
 
 
@@ -66,17 +64,15 @@ def candidate_supernodes(
     two or more nodes are returned, each listing its nodes ascending.
 
     The hash is additive, so it needs no sorted order: the open hash of v
-    is the wrapping uint64 sum of mix64(x ^ seed) over x in N(v), one
-    np.add.reduceat over the adjacency, and the closed hash adds
+    is the wrapping uint64 sum of mix64(x ^ seed) over x in N(v), one row
+    sum over the adjacency, and the closed hash adds
     mix64(v ^ seed). Hash collisions can put unrelated nodes in one bucket
     (false positives, removed later) but two nodes eligible for the same
     supernode always share a bucket (no false negatives).
     """
     salt = np.uint64(seed & _MASK64)
     mixed = _mix64_array(g.targets.astype(np.uint64) ^ salt)
-    nonempty = g.degrees > 0
-    open_hash = np.zeros(g.n, dtype=np.uint64)
-    open_hash[nonempty] = np.add.reduceat(mixed, g.offsets[:-1][nonempty])
+    open_hash = g.row_reduce(np.add, mixed, 0)
     closed_hash = open_hash + _mix64_array(np.arange(g.n, dtype=np.uint64) ^ salt)
     return _buckets(closed_hash), _buckets(open_hash)
 

@@ -75,24 +75,19 @@ def two_hop_mst(g: Graph, c: NodeCentrality) -> MergePairList:
 
 def _star_pair_keys(g: Graph, scores: np.ndarray) -> np.ndarray:
     """Distinct star pairs (u, v), u < v, of two_hop_mst as sorted keys u*n + v."""
-    n, targets, deg = g.n, g.targets, g.degrees
-    starts, counts = g.offsets[:-1][deg > 0], deg[deg > 0]
+    n, targets, row = g.n, g.targets, g.sources
     by_score = np.lexsort((np.arange(n), scores))  # nodes ascending by (C, id)
     rank = np.empty(n, dtype=np.int64)
     rank[by_score] = np.arange(n)
-    hub = by_score[np.minimum.reduceat(rank[targets], starts)]  # per row b
+    hub = by_score[g.row_reduce(np.minimum, rank[targets], 0)]  # per node b
     c_x = scores[targets]
-    scale = np.maximum.reduceat(np.abs(c_x), starts)
+    scale = g.row_reduce(np.maximum, np.abs(c_x), 0.0)
     limit = scores[hub] + 4 * np.finfo(np.float64).eps * scale
-    row = np.repeat(np.arange(len(starts)), counts)
     near = (c_x > scores[hub][row]) & (c_x <= limit[row])
     centers = np.flatnonzero((targets == hub[row]) | near)
     # pair each star center with every node of its own N(b)
-    row = row[centers]
-    span = counts[row]
-    first = np.repeat(starts[row] - np.cumsum(span) + span, span)
-    a = np.repeat(targets[centers], span)
-    b = targets[first + np.arange(span.sum())]
+    b, ends = g.rows(row[centers])
+    a = np.repeat(targets[centers], np.diff(ends, prepend=0))
     apart = a != b
     return distinct_pair_keys(a[apart], b[apart], n)
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .centrality import DEFAULT_DAMPING, DEFAULT_MAX_ITER, DEFAULT_TOL, pagerank_iteration
 from .errors import UnsupportedSummaryError
-from .summary import KIND_CLIQUE, Summary
+from .summary import Summary
 
 
 def _require_lossless(s: Summary) -> None:
@@ -75,15 +75,10 @@ def count_triangles(s: Summary) -> TriangleReport:
     """Triangle totals per type; the grand total equals the original graph's."""
     _require_lossless(s)
     super_graph = s.super_adjacency()
-    a, b = super_graph.edge_arrays
-    reach = np.zeros(s.num_supernodes, dtype=np.int64)  # members of the neighbor supernodes
-    np.add.at(reach, a, s.sizes[b])
-    np.add.at(reach, b, s.sizes[a])
-    lo, hi = s.superedges.pairs
-    cliques = lo[lo == hi]  # a size-1 supernode adds nothing to either type
-    k = s.sizes[cliques].astype(object)  # Python ints: the products cannot overflow
+    reach = super_graph.row_reduce(np.add, s.sizes[super_graph.targets], 0)  # neighbor members
+    k = s.sizes[s.cliques].astype(object)  # Python ints: the products cannot overflow
     count_a = int((k * (k - 1) * (k - 2) // 6).sum())
-    count_b = int((k * (k - 1) // 2 * reach[cliques]).sum())
+    count_b = int((k * (k - 1) // 2 * reach[s.cliques]).sum())
     sizes = s.sizes.tolist()
     triples = _super_triangles(super_graph.adjacency_lists)
     count_c = sum(sizes[x] * sizes[y] * sizes[z] for x, y, z in triples)
@@ -99,15 +94,12 @@ def enumerate_triangles(
     each generator in ascending canonical order, so output is reproducible.
     """
     _require_lossless(s)
-    kinds = s.kinds
+    cliques = np.flatnonzero(s.cliques).tolist()
     adj = s.super_adjacency().adjacency_lists
-    for x in range(s.num_supernodes):
-        if kinds[x] == KIND_CLIQUE:
-            for triple in combinations(s.members(x), 3):
-                sink(triple)
-    for x in range(s.num_supernodes):
-        if kinds[x] != KIND_CLIQUE:
-            continue
+    for x in cliques:
+        for triple in combinations(s.members(x), 3):
+            sink(triple)
+    for x in cliques:
         for pair in combinations(s.members(x), 2):
             for y in adj[x]:
                 for w in s.members(y):
@@ -148,9 +140,8 @@ def pagerank_on_summary(
     if s.n == 0:
         raise ValueError("pagerank of an empty summary is undefined")
     sizes = s.sizes.astype(np.float64)
-    clique = np.asarray(s.kinds) == KIND_CLIQUE
     scores, iterations, converged = pagerank_iteration(
-        s.super_adjacency(), sizes, clique, damping, tol, max_iter
+        s.super_adjacency(), sizes, s.cliques, damping, tol, max_iter
     )
     node_scores = (scores / sizes)[s.membership]
     return SummaryPagerank(scores, node_scores, iterations, converged)
@@ -174,10 +165,9 @@ def shortest_path_length(s: Summary, u: int, v: int) -> float:
     su, sv = s.supernode_of(u), s.supernode_of(v)
     sg = s.super_adjacency()
     if su == sv:
-        if s.kinds[su] == KIND_CLIQUE:
+        if s.cliques[su]:
             return 1
         return 2 if sg.degrees[su] else math.inf
-    offsets, targets = sg.offsets, sg.targets
     last_hop = sg.neighbors(sv)
     seen = np.zeros(sg.n, dtype=bool)
     seen[su] = True
@@ -187,11 +177,7 @@ def shortest_path_length(s: Summary, u: int, v: int) -> float:
         if seen[last_hop].any():
             return depth + 1
         depth += 1
-        starts = offsets[frontier]
-        counts = offsets[frontier + 1] - starts
-        ends = np.cumsum(counts)
-        slots = np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
-        reached = targets[slots]
+        reached, _ = sg.rows(frontier)
         reached = reached[~seen[reached]]
         reached.sort()  # sort and mask: a flag-less np.unique hashes, far slower in numpy 2.4
         first = np.ones(reached.size, dtype=bool)

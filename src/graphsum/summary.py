@@ -100,9 +100,10 @@ class Summary:
     first appearance over nodes 0..n-1.
 
     Derived: sizes (np.bincount of membership) at construction, since
-    validation needs them; supernodes (member lists, ascending), kinds and
-    the supernode graph of super_adjacency() on first use. Kinds exist only for lossless summaries and follow from
-    the structure: size 1 is a singleton, a self-superedge makes a clique,
+    validation needs them; supernodes (member lists, ascending), the
+    cliques mask, kinds and the supernode graph of super_adjacency() on
+    first use. Kinds exist only for lossless summaries and follow from the
+    structure: size 1 is a singleton, a self-superedge makes a clique,
     anything else is an independent set. Treat instances as immutable once
     built: queries never mutate them and share them freely. Two concurrent
     first uses may both derive a value, and get equal results.
@@ -156,14 +157,22 @@ class Summary:
         return [flat[end - size : end] for end, size in zip(ends, self.sizes.tolist())]
 
     @cached_property
+    def cliques(self) -> np.ndarray:
+        """Read-only mask of the clique supernodes: a self-superedge and two
+        or more members, the rule kinds applies."""
+        a, b = self.superedges.pairs
+        clique = np.zeros(self.num_supernodes, dtype=bool)
+        clique[a[a == b]] = True
+        clique &= self.sizes >= 2
+        clique.setflags(write=False)
+        return clique
+
+    @cached_property
     def kinds(self) -> list[str] | None:
         """One kind tag per supernode for lossless summaries, else None."""
         if not self.is_lossless:
             return None
-        a, b = self.superedges.pairs
-        clique = np.zeros(self.num_supernodes, dtype=bool)
-        clique[a[a == b]] = True
-        kinds = np.where(clique, KIND_CLIQUE, KIND_INDEPENDENT_SET)
+        kinds = np.where(self.cliques, KIND_CLIQUE, KIND_INDEPENDENT_SET)
         kinds[self.sizes == 1] = KIND_SINGLETON
         return kinds.tolist()
 

@@ -93,6 +93,13 @@ def star_graph(leaves: int) -> Graph:
     return from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
+def spread_graph(g: Graph) -> Graph:
+    """g with node u renamed 2u + 1 among 2n + 1 nodes: every even id is a
+    degree-0 node, the first and the last one included, so an empty row
+    sits before, between and after the rows of g."""
+    return from_edges(2 * g.n + 1, [(2 * u + 1, 2 * v + 1) for u, v in g.edges()])
+
+
 WORKED_EXAMPLE_EDGES = [
     (0, 1),
     (0, 2),

@@ -379,3 +379,65 @@ def loop_triangle_types_ab(s: Summary) -> tuple[int, int]:
         count_a += k * (k - 1) * (k - 2) // 6
         count_b += k * (k - 1) // 2 * sum(s.size(y) for y in adj[x])
     return count_a, count_b
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _mix64(x: int) -> int:
+    """The splitmix64 finalizer on one Python int, wrapping at 64 bits."""
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+def loop_candidate_buckets(
+    g: Graph, seed: int
+) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+    """candidate_supernodes by a per-node loop over Python ints: each hash
+    is the sum mod 2**64 of mix64(x ^ seed) over the closed, then the open
+    neighborhood; nodes are grouped by a dict in ascending order."""
+    salt = seed & _MASK64
+    buckets: tuple[dict[int, list[int]], dict[int, list[int]]] = ({}, {})
+    for v in range(g.n):
+        open_hash = 0
+        for x in g.neighbors_list(v):
+            open_hash = (open_hash + _mix64(x ^ salt)) & _MASK64
+        closed_hash = (open_hash + _mix64(v ^ salt)) & _MASK64
+        buckets[0].setdefault(closed_hash, []).append(v)
+        buckets[1].setdefault(open_hash, []).append(v)
+    closed, opened = ({h: vs for h, vs in b.items() if len(vs) >= 2} for b in buckets)
+    return closed, opened
+
+
+def loop_eigenvector(g: Graph, tol: float, max_iter: int) -> tuple[np.ndarray, int, bool]:
+    """The eigenvector power iteration with every neighbor sum added one
+    neighbor at a time, in ascending order, as Python floats:
+    (scores, iterations, converged)."""
+    if g.m == 0:
+        return np.zeros(g.n), 0, True
+    rows = [g.neighbors_list(u) for u in range(g.n)]
+    x = np.full(g.n, 1.0 / np.sqrt(g.n))
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        xs = x.tolist()
+        sums = []
+        for row in rows:
+            total = 0.0
+            for w in row:
+                total += xs[w]
+            sums.append(total)
+        y = np.array(sums)
+        norm = float(np.linalg.norm(y))
+        if norm == 0.0:
+            x, converged = y, True
+            break
+        y /= norm
+        if float(np.abs(y - x).sum()) < tol:
+            x, converged = y, True
+            break
+        x = y
+    return np.maximum(x, 0.0), iterations, converged

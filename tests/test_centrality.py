@@ -20,16 +20,20 @@ from graphsum import (
     pagerank,
     uniform_centrality,
 )
+from graphsum.centrality import DEFAULT_TOL
 
 from conftest import random_graphs
 from generators import (
+    ba_graph,
     complete_graph,
     cycle_graph,
     er_graph,
     path_graph,
+    spread_graph,
     star_graph,
+    twin_rich_graph,
 )
-from oracles import brute_betweenness, dense_pagerank
+from oracles import brute_betweenness, dense_pagerank, loop_eigenvector
 
 
 class TestPagerank:
@@ -118,6 +122,23 @@ class TestOtherCentralities:
     def test_eigenvector_oscillation_flagged(self):
         e = eigenvector_centrality(star_graph(3), max_iter=60)
         assert not e.converged
+
+    @pytest.mark.parametrize(
+        "g, max_iter",
+        [
+            (er_graph(40, 0.1, 3), 1000),
+            (spread_graph(er_graph(20, 0.2, 1)), 1000),
+            (ba_graph(60, 2, 5), 1000),
+            (twin_rich_graph(2), 1000),
+            (star_graph(3), 60),  # oscillates: the iterate at max_iter
+            (from_edges(3, []), 1000),
+        ],
+    )
+    def test_eigenvector_bitwise_equal_to_loop_oracle(self, g, max_iter):
+        e = eigenvector_centrality(g, max_iter=max_iter)
+        scores, iterations, converged = loop_eigenvector(g, DEFAULT_TOL, max_iter)
+        assert e.scores.tobytes() == scores.tobytes()
+        assert (e.iterations, e.converged) == (iterations, converged)
 
     def test_eigenvector_concentrates_on_dominant_component(self):
         # K5 (spectral radius 4) next to a triangle (radius 2)

@@ -490,6 +490,8 @@ class TestFlagRanges:
             (["--damping", "3"], "--damping must lie in [0, 1], got 3.0"),
             (["--damping", "-0.5"], "--damping must lie in [0, 1], got -0.5"),
             (["--tol", "0"], "--tol must be positive, got 0.0"),
+            (["--max-iter", "0"], "--max-iter must be at least 1, got 0"),
+            (["--max-iter", "-3"], "--max-iter must be at least 1, got -3"),
         ],
     )
     def test_lossy(self, er_file, tmp_path, capsys, flags, message):
@@ -506,6 +508,7 @@ class TestFlagRanges:
         [
             (["--damping", "3"], "--damping must lie in [0, 1], got 3.0"),
             (["--tol=-1e-9"], "--tol must be positive, got -1e-09"),
+            (["--max-iter", "-3"], "--max-iter must be at least 1, got -3"),
         ],
     )
     def test_query_pagerank(self, star_summary, capsys, flags, message):
@@ -524,6 +527,85 @@ class TestFlagRanges:
     def test_bounds_accepted(self, star_summary, capsys):
         for damping in ("0", "1"):
             assert main(["query", "--summary", str(star_summary), "pagerank", "--damping", damping]) == 0
+        assert main(["query", "--summary", str(star_summary), "pagerank", "--max-iter", "1"]) == 0
+
+
+class TestMalformedEdgeList:
+    """A malformed edge list is unsupported input (exit 3), named by line."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0 1\nx 2\n", "line 2: non-integer token in 'x 2'"),
+            ("0 1\n1 2 3\n", "line 2: expected two integer tokens, got 3"),
+            ("# c\n0 -1\n", "line 2: negative node id in '0 -1'"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["lossless", "lossy", "app-utility", "verify-lossless"])
+    def test_exits_3(self, k4_summary, tmp_path, capsys, command, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        out = tmp_path / "out"
+        argv = {
+            "lossless": ["lossless", "--out", str(out)],
+            "lossy": ["lossy", "--out", str(out), "--tau", "0.8"],
+        }.get(command, ["eval", "--summary", str(k4_summary), "--metric", command])
+        capsys.readouterr()
+        assert main([*argv, "--input", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not out.exists()
+
+
+@pytest.fixture
+def path3_summary(tmp_path, capsys):
+    path = tmp_path / "path3.txt"
+    path.write_text("0 1\n1 2\n")
+    out = tmp_path / "path3"
+    assert main(["lossless", "--input", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    return path, out
+
+
+class TestNonConvergence:
+    """An iteration stopped by --max-iter is reported on stderr; stdout, the
+    files written and the exit code are those of any other run."""
+
+    def test_query_pagerank(self, path3_summary, tmp_path, capsys):
+        _, summary = path3_summary
+        argv = ["query", "--summary", str(summary), "pagerank", "--damping", "1"]
+        assert main([*argv, "--max-iter", "5", "--out", str(tmp_path / "q")]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "0 0.5\n1 2.0\n2 0.5\n"  # the undamped iterate oscillates
+        assert captured.err == "warning: pagerank did not converge in 5 iterations\n"
+        assert (tmp_path / "q" / "pagerank.txt").read_text() == captured.out
+
+    def test_converged_runs_stay_silent(self, path3_summary, capsys):
+        graph, summary = path3_summary
+        assert main(["query", "--summary", str(summary), "pagerank"]) == 0
+        argv = ["eval", "--summary", str(summary), "--metric", "app-utility"]
+        assert main([*argv, "--input", str(graph)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_lossy_pagerank(self, path3_summary, tmp_path, capsys):
+        graph, _ = path3_summary
+        out = tmp_path / "lossy"
+        argv = ["lossy", "--input", str(graph), "--out", str(out), "--tau", "0.5"]
+        assert main([*argv, "--damping", "1", "--max-iter", "5"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("n=3 m=2 ")
+        assert captured.err == "warning: pagerank did not converge in 5 iterations\n"
+        assert read_meta(out / "meta.txt")["max_iter"] == "5"
+
+    def test_eval_eigenvector(self, star_summary, star_file, capsys):
+        # the uniform start oscillates on a bipartite star
+        capsys.readouterr()
+        argv = ["eval", "--summary", str(star_summary), "--metric", "app-utility"]
+        assert main([*argv, "--input", str(star_file), "--centrality", "eigenvector"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("centrality eigenvector\n")
+        assert captured.err == "warning: eigenvector did not converge in 1000 iterations\n"
 
 
 def test_every_centrality_kind_has_a_cli_entry():

@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import ast
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphsum import EdgeListParseError, from_edges, load_edge_list, write_edge_list
+from graphsum import graph as graph_module
 from graphsum.graph import Graph, _load_edge_lines, parse_int_pairs
 
 from conftest import random_graphs
-from generators import er_graph, path_graph, star_graph
+from generators import er_graph, path_graph, spread_graph, star_graph, twin_rich_graph
 from oracles import two_hop_by_matrix_square
 
 
@@ -286,3 +291,94 @@ class TestInvariants:
     def test_from_edges_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             from_edges(2, [(0, 2)])
+
+
+ROW_GRAPHS = {
+    "spread_er": spread_graph(er_graph(20, 0.2, 1)),
+    "spread_star": spread_graph(star_graph(4)),
+    "spread_path": spread_graph(path_graph(5)),
+    "twins": twin_rich_graph(3),
+    "edgeless": from_edges(4, []),
+    "empty": from_edges(0, []),
+}
+
+
+def loop_row_reduce(g, ufunc, values, empty) -> list:
+    """row_reduce by a loop over the nodes, one ufunc.reduce per row's slots."""
+    out, slot = [], 0
+    for u in range(g.n):
+        row = values[slot : slot + g.degree(u)]
+        out.append(ufunc.reduce(row).item() if len(row) else empty)
+        slot += len(row)
+    return out
+
+
+class TestRowViews:
+    """sources, rows and row_reduce against loops over neighbors_list, on
+    graphs with degree-0 nodes before, between and after nonempty rows."""
+
+    @pytest.mark.parametrize("name", sorted(ROW_GRAPHS))
+    def test_sources(self, name):
+        g = ROW_GRAPHS[name]
+        assert g.sources.tolist() == [u for u in range(g.n) for _ in g.neighbors_list(u)]
+        assert g.sources.dtype == np.int64
+        assert not g.sources.flags.writeable
+
+    @pytest.mark.parametrize("name", sorted(ROW_GRAPHS))
+    def test_rows(self, name):
+        g = ROW_GRAPHS[name]
+        rng = np.random.default_rng(0)
+        picks = [np.arange(g.n), np.arange(g.n)[::-1], np.array([], dtype=np.int64)]
+        if g.n:
+            picks.append(rng.integers(0, g.n, 3 * g.n))  # repeats, any order
+        for nodes in picks:
+            flat, ends = g.rows(nodes)
+            expected = [g.neighbors_list(u) for u in nodes.tolist()]
+            assert flat.tolist() == list(itertools.chain.from_iterable(expected))
+            assert ends.tolist() == list(itertools.accumulate(map(len, expected)))
+
+    @pytest.mark.parametrize("name", sorted(ROW_GRAPHS))
+    @pytest.mark.parametrize(
+        "ufunc, dtype, empty",
+        [
+            (np.add, np.uint64, 0),  # wraps, as the lossless hash does
+            (np.add, np.int64, 0),
+            (np.minimum, np.int64, 7),
+            (np.minimum, np.float64, 0.0),
+            (np.maximum, np.float64, -1.5),
+        ],
+    )
+    def test_row_reduce(self, name, ufunc, dtype, empty):
+        g = ROW_GRAPHS[name]
+        rng = np.random.default_rng(1)
+        if dtype == np.float64:
+            values = rng.standard_normal(len(g.targets))
+        else:
+            values = rng.integers(0, np.iinfo(dtype).max, len(g.targets), dtype=dtype)
+        out = g.row_reduce(ufunc, values, empty)
+        assert out.dtype == dtype
+        assert out.tolist() == loop_row_reduce(g, ufunc, values, empty)
+
+
+def csr_layout_reads(path: Path) -> list[str]:
+    """Each .offsets or .reduceat attribute in a module, as 'file:line name'."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    return [
+        f"{path.name}:{node.lineno} .{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("offsets", "reduceat")
+    ]
+
+
+def test_only_graph_reads_the_csr_layout():
+    # other modules read a Graph through edge_arrays, sources, rows and
+    # row_reduce, so its offsets layout can change in graph.py alone
+    package = Path(graph_module.__file__).parent
+    assert csr_layout_reads(package / "graph.py")  # the walk does find them
+    found = [
+        read
+        for path in sorted(package.glob("*.py"))
+        if path.name != "graph.py"
+        for read in csr_layout_reads(path)
+    ]
+    assert found == []

@@ -31,10 +31,12 @@ from generators import (
     complete_graph,
     er_graph,
     path_graph,
+    spread_graph,
     star_graph,
     twin_rich_graph,
 )
 from oracles import (
+    loop_candidate_buckets,
     loop_lossless_superedges,
     neighborhood_class_partition,
     partition_key,
@@ -125,6 +127,17 @@ class TestCandidates:
                 continue
             table = clique_bucket if s.kinds[sid] == KIND_CLIQUE else is_bucket
             assert len({table[v] for v in grp}) == 1
+
+    @pytest.mark.parametrize("seed", [42, 0, 2**64 - 1])
+    @pytest.mark.parametrize("index", range(len(FILTER_GRAPHS) + 1))
+    def test_buckets_match_loop_oracle(self, index, seed):
+        g = (FILTER_GRAPHS + [spread_graph(complete_graph(4))])[index]
+        ours = candidate_supernodes(g, seed=seed)
+        oracle = loop_candidate_buckets(g, seed)
+        for got, expected in zip(ours, oracle):
+            assert list(got.items()) == list(expected.items())
+            keys = [np.array(list(buckets), dtype=np.uint64) for buckets in (got, expected)]
+            assert keys[0].tobytes() == keys[1].tobytes()
 
     def test_seed_changes_buckets_not_partition(self):
         g = er_graph(120, 0.08, 4)

@@ -29,7 +29,7 @@ from graphsum import (
 from graphsum.unionfind import UnionFind
 
 from conftest import random_graphs
-from generators import ba_graph, er_graph, path_graph, star_graph
+from generators import ba_graph, er_graph, path_graph, spread_graph, star_graph
 from oracles import (
     loop_lossy_superedges,
     loop_utility,
@@ -58,6 +58,8 @@ def small_graph(family, seed):
     n = rng.randint(5, 40)
     if family == "er":
         return er_graph(n, rng.choice([0.05, 0.1, 0.2, 0.4]), seed)
+    if family == "spread":  # degree-0 rows before, between and after the others
+        return spread_graph(er_graph(n // 2, rng.choice([0.2, 0.4]), seed))
     return ba_graph(n, rng.randint(1, 3), seed)
 
 
@@ -413,7 +415,7 @@ class TestMstSufficiency:
             assert labels_after(forest.pairs, k) == labels_after(full.pairs, k)
 
     @pytest.mark.parametrize("centrality", [uniform_centrality, degree_centrality, pagerank])
-    @pytest.mark.parametrize("family", ["er", "ba"])
+    @pytest.mark.parametrize("family", ["er", "ba", "spread"])
     def test_forest_is_kruskal_over_full_list(self, family, centrality):
         # uniform and degree scores tie everywhere: the forest must still be
         # the one minimum forest under (weight, min id, max id)
@@ -421,7 +423,9 @@ class TestMstSufficiency:
             g = small_graph(family, seed)
             c = centrality(g)
             forest = two_hop_mst(g, c)
-            assert (forest.pairs, forest.weights) == kruskal_over_full_list(g, c), seed
+            pairs, weights = kruskal_over_full_list(g, c)
+            assert forest.pairs == pairs, seed
+            assert np.array(forest.weights).tobytes() == np.array(weights).tobytes(), seed
 
     def test_one_ulp_near_hub_star(self):
         # C_1 is one ulp above the hub's C_2; 1.5 + C_1 rounds to 1.5 + C_2,

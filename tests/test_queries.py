@@ -18,6 +18,7 @@ from graphsum import (
     load_summary,
     pagerank,
     pagerank_on_summary,
+    reconstruct,
     save_summary,
     shortest_path_length,
     summarize,
@@ -61,6 +62,24 @@ def small_graph(request):
     return SMALL_GRAPHS[request.param]()
 
 
+def isolated_supernodes_summary() -> Summary:
+    """Supernodes with no cross superedge first, in the middle and last:
+    0 = {0, 1} independent set, 2 = {5}, 5 = {9, 10} clique and 6 = {11},
+    a singleton with a self-superedge. Around them, the clique 1 = {2, 3, 4},
+    the singleton 3 = {6} and the independent set 4 = {7, 8} form a
+    super-triangle."""
+    membership = [0, 0, 1, 1, 1, 2, 3, 4, 4, 5, 5, 6]
+    superedges = {(1, 1), (1, 3), (1, 4), (3, 4), (5, 5), (6, 6)}
+    return Summary(np.array(membership), superedges, is_lossless=True)
+
+
+def test_cliques_mask_follows_the_kinds_rule():
+    s = isolated_supernodes_summary()
+    assert s.cliques.tolist() == [False, True, False, False, False, True, False]
+    assert s.cliques.tolist() == [kind == "clique" for kind in s.kinds]
+    assert not s.cliques.flags.writeable
+
+
 @pytest.fixture
 def lossy_summary(worked_example):
     model = build_weight_model(worked_example, uniform_centrality(worked_example))
@@ -100,6 +119,13 @@ class TestTriangles:
             report = count_triangles(summary)
             assert (report.count_a, report.count_b) == loop_triangle_types_ab(summary)
             assert report.total == triangle_count_matrix(small_graph)
+
+    def test_isolated_supernodes(self):
+        s = isolated_supernodes_summary()
+        report = count_triangles(s)
+        assert (report.count_a, report.count_b) == loop_triangle_types_ab(s) == (1, 9)
+        assert report.count_c == 3 * 1 * 2
+        assert report.total == triangle_count_matrix(reconstruct(s))
 
     def test_huge_clique_counts_exactly(self):
         # k * (k - 1) * (k - 2) exceeds int64 for k = 3,000,000
@@ -237,6 +263,13 @@ class TestShortestPaths:
         # both isolated nodes share an IS supernode with no neighbors
         assert s.num_supernodes == 1
         assert shortest_path_length(s, 0, 1) == math.inf
+
+    def test_isolated_supernodes_every_pair(self):
+        s = isolated_supernodes_summary()
+        g = reconstruct(s)
+        for u in range(s.n):
+            expected = bfs_distances(g, u)
+            assert [shortest_path_length(s, u, v) for v in range(s.n)] == expected, u
 
     def test_er_random_pairs_match_bfs(self):
         g = er_graph(300, 0.03, 6)
