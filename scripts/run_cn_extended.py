@@ -8,10 +8,10 @@ of the top-20% query. The dataset is not bundled; download the edge list
 
 The two-hop spanning forest is cheap: Kruskal over at most 2m star pairs,
 never the sum of squared degrees of common-neighbor pairs. Each probe of
-the sweep's binary searches replays the merge prefix in a Python
-union-find, then takes the utility of the merged partition in one numpy
-pass over the edges (about 0.05 s a probe on ba_graph(50000, 8, seed=7)
-with 2 cores).
+the sweep's binary searches reads its partition off the forest's merge
+tree, built once for the whole sweep, then takes the utility of that
+partition in one numpy pass over the edges (about 0.035 s a probe on
+ba_graph(50000, 8, seed=7) with 2 cores).
 """
 
 from __future__ import annotations

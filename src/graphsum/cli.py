@@ -71,7 +71,7 @@ FLAG_RANGES = {
 CENTRALITIES = {
     "pagerank": lambda g, args: cent.pagerank(g, args.damping, args.tol, args.max_iter),
     "degree": lambda g, args: cent.degree_centrality(g),
-    "eigenvector": lambda g, args: cent.eigenvector_centrality(g, args.tol),
+    "eigenvector": lambda g, args: cent.eigenvector_centrality(g, args.tol, args.max_iter),
     "betweenness": lambda g, args: cent.betweenness_centrality(g, cap=args.cap_betweenness),
 }
 

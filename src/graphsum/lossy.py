@@ -7,20 +7,27 @@ neighborhood's lightest node (plus its near-ties, see two_hop_mst), is a
 sufficient candidate list: it yields the same summaries as the full sorted
 pair list. Utility is non-increasing as the sorted forest edges are merged
 in order, so the largest merge prefix that keeps utility above the threshold
-is found by binary search, recomputing the union-find partition from scratch
-at every probe.
+is found by binary search.
+
+A probe does not replay the merges. Each candidate list builds, once, its
+merge tree: the single-linkage dendrogram of its pairs (Gower & Ross 1969),
+in which merge e is a tree node above the two sets it joins. The partition
+after any prefix is a cut of that tree, and pointer jumping over the tree's
+parent array, truncated at the cut, gives every node its set's smallest
+node in a few gathers.
 
 A probe's utility, and the superedges of the final summary, come from one
-array pass over the edges: supernode labels by pointer jumping over the
-union-find parents, superpairs keyed lo*n + hi and grouped by np.unique,
-per-pair edge counts and weight sums by np.bincount in canonical edge
-order (the order of Graph.edges()), and the losses summed by math.fsum.
+array pass over the edges: superpairs keyed lo*n + hi and numbered by
+sorting the keys, per-pair edge counts and weight sums by np.bincount in
+canonical edge order (the order of Graph.edges()), and the nonzero losses
+summed by math.fsum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +55,65 @@ class MergePairList:
     def __post_init__(self):
         if np.any(np.diff(self.weights) < 0):
             raise ValueError("merge pair weights must be ascending")
+        if min(map(min, self.pairs), default=0) < 0:
+            raise ValueError("merge pairs must name nodes 0 and up")
+
+    @cached_property
+    def merge_tree(self) -> MergeTree:
+        """The merge tree of pairs, built on first use and then shared by
+        every search over this list."""
+        return MergeTree(self.pairs)
+
+
+class MergeTree:
+    """The single-linkage dendrogram of a candidate list, from one union
+    pass over its pairs.
+
+    Leaves are the nodes 0..leaves-1, leaves being one more than the
+    largest id in the list. The e-th successful union becomes tree node
+    leaves + e, the parent of the tree nodes on top of the two sets it
+    joins, so ids rise towards each root (a root is its own parent); a
+    redundant pair adds no node. smallest[x] is the smallest leaf under x
+    and merged[t] the successful unions among the first t pairs.
+    """
+
+    def __init__(self, pairs: list[tuple[int, int]]):
+        leaves = 1 + max(map(max, pairs), default=-1)
+        parent = list(range(leaves))
+        smallest = parent.copy()
+        jump = parent.copy()  # towards the top of each set, halved on each walk
+        joined = []
+        for u, v in pairs:
+            while jump[u] != u:
+                jump[u] = u = jump[jump[u]]
+            while jump[v] != v:
+                jump[v] = v = jump[jump[v]]
+            joined.append(u != v)
+            if u != v:  # u and v are now the tree nodes on top of the two sets
+                node = len(parent)
+                parent[u] = parent[v] = jump[u] = jump[v] = node
+                parent.append(node)
+                jump.append(node)
+                smallest.append(min(smallest[u], smallest[v]))
+        self.leaves = leaves
+        self.parent = np.array(parent, dtype=np.int64)
+        self.smallest = np.array(smallest, dtype=np.int64)
+        self.merged = np.concatenate(([0], np.cumsum(joined, dtype=np.int64)))
+
+    def labels(self, n: int, t: int) -> np.ndarray:
+        """Per node of an n-node graph, the smallest node of its set after
+        the first t pairs: the smallest leaf under its highest ancestor
+        below leaves + merged[t]. Ancestor ids rise, so that ancestor is
+        the root of the tree cut there: the parent array truncated at the
+        cut, with every parent above it made a root."""
+        if self.leaves > n:
+            raise ValueError(f"candidate node {self.leaves - 1} out of range 0..{n - 1}")
+        limit = self.leaves + self.merged[t]
+        parent = self.parent[:limit]
+        top = _roots(np.where(parent < limit, parent, np.arange(limit)))
+        labels = np.arange(n)
+        labels[: self.leaves] = self.smallest[top[: self.leaves]]
+        return labels
 
 
 def two_hop_mst(g: Graph, c: NodeCentrality) -> MergePairList:
@@ -125,10 +191,9 @@ def merge_prefix(g: Graph, candidates: MergePairList, t: int) -> UnionFind:
     return uf
 
 
-def _root_labels(partition: UnionFind) -> np.ndarray:
-    """The root of every node, by pointer jumping over the parent array
-    (any UnionFind, path-compressed or not; the partition is not touched)."""
-    parent = np.array(partition.parent, dtype=np.int64)
+def _roots(parent: np.ndarray) -> np.ndarray:
+    """The root of every node of the forest a parent array gives (a root is
+    its own parent), by pointer jumping; parent is not touched."""
     while True:
         jumped = parent[parent]
         if np.array_equal(jumped, parent):
@@ -136,25 +201,58 @@ def _root_labels(partition: UnionFind) -> np.ndarray:
         parent = jumped
 
 
-def _superpair_costs(
-    g: Graph, model: EdgeWeightModel, labels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per supernode pair (a, b), a <= b, joined by at least one edge:
-    a, b, the cost of adding the superedge (spurious weight) and of
-    dropping it (actual weight). labels are any per-node ids below n."""
-    n = g.n
+def _root_labels(partition: UnionFind) -> np.ndarray:
+    """The root of every node of any UnionFind, path-compressed or not."""
+    return _roots(np.array(partition.parent, dtype=np.int64))
+
+
+def _edge_weights(g: Graph, model: EdgeWeightModel) -> np.ndarray:
+    """The normalized weight (C_u + C_v) / Z of every edge, in canonical
+    edge order; the same at every probe of a search."""
     u, v = g.edge_arrays
     scores = model.node_centrality.scores
-    weights = (scores[u] + scores[v]) / model.actual_norm
+    return (scores[u] + scores[v]) / model.actual_norm
+
+
+def _superpair_costs(
+    g: Graph, model: EdgeWeightModel, labels: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per supernode pair (a, b), a <= b, joined by at least one edge, in
+    ascending (a, b) order: a, b, the cost of adding the superedge
+    (spurious weight) and of dropping it (actual weight). labels are any
+    per-node ids below n; weights are _edge_weights(g, model)."""
+    n = g.n
+    u, v = g.edge_arrays
     lu, lv = labels[u], labels[v]
-    keys, pair = np.unique(np.minimum(lu, lv) * n + np.maximum(lu, lv), return_inverse=True)
+    keys = np.minimum(lu, lv) * n + np.maximum(lu, lv)
+    del lu, lv  # m-sized: freed before the sort adds its own
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.empty(len(keys), dtype=bool)  # each pair's first key in sorted order
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    ids = np.cumsum(first)
+    ids -= 1
+    pair = np.empty_like(ids)
+    pair[order] = ids
     # bincount adds each pair's weights in canonical edge order
     count = np.bincount(pair)
     wsum = np.bincount(pair, weights=weights)
-    a, b = np.divmod(keys, n)
+    a, b = np.divmod(keys[first], n)
     size = np.bincount(labels)
     possible = np.where(a == b, size[a] * (size[a] - 1) // 2, size[a] * size[b])
     return a, b, (possible - count) * model.spurious_weight, wsum
+
+
+def _utility(
+    g: Graph, model: EdgeWeightModel, labels: np.ndarray, weights: np.ndarray
+) -> float:
+    """Utility of the partition the labels name; see compute_utility."""
+    _, _, sedge, nsedge = _superpair_costs(g, model, labels, weights)
+    losses = np.minimum(sedge, nsedge)
+    # losses are >= 0, and exact zeros do not change a correctly rounded sum
+    value = 1.0 - math.fsum(losses[losses != 0].tolist())
+    return min(1.0, max(0.0, value))
 
 
 def compute_utility(g: Graph, model: EdgeWeightModel, partition: UnionFind) -> float:
@@ -164,12 +262,11 @@ def compute_utility(g: Graph, model: EdgeWeightModel, partition: UnionFind) -> f
     pair, the actual edge count and weight (np.bincount, in canonical edge
     order); the pair then loses the cheaper of adding the superedge
     (spurious weight) or dropping it (actual weight). Pairs without actual
-    edges cost nothing. The losses are summed by math.fsum, which is
-    correctly rounded, so the result does not depend on pair order.
+    edges cost nothing, and neither do pairs whose loss is exactly zero.
+    The nonzero losses are summed by math.fsum, which is correctly
+    rounded, so the result does not depend on how the pairs are numbered.
     """
-    _, _, sedge, nsedge = _superpair_costs(g, model, _root_labels(partition))
-    value = 1.0 - math.fsum(np.minimum(sedge, nsedge).tolist())
-    return min(1.0, max(0.0, value))
+    return _utility(g, model, _root_labels(partition), _edge_weights(g, model))
 
 
 def build_superedges_lossy(
@@ -179,7 +276,7 @@ def build_superedges_lossy(
     than dropping (ties keep the superedge). No kind tags.
     """
     labels = relabel_by_first_appearance(_root_labels(partition))
-    a, b, sedge, nsedge = _superpair_costs(g, model, labels)
+    a, b, sedge, nsedge = _superpair_costs(g, model, labels, _edge_weights(g, model))
     keep = sedge <= nsedge
     return Summary(labels, PairSet(a[keep], b[keep]))
 
@@ -201,25 +298,36 @@ def summarize_lossy(
     """Largest merge prefix whose utility stays >= tau, found by binary search.
 
     Utility is non-increasing along the sorted forest edges, so the probe
-    at each midpoint (re-merged from scratch, then one utility sweep)
-    decides the half to keep. The returned summary is re-derived at the
-    final prefix. An explicit candidate list can replace the computed
-    spanning forest.
+    at each midpoint decides the half to keep. A probe reads the partition
+    off the candidate list's merge tree (built once per list, see
+    MergeTree) and sums its utility with the edge weights computed once
+    per search; it gives what merge_prefix and compute_utility give, bit
+    for bit. Those two, and build_superedges_lossy, then derive the result
+    at the final prefix. An explicit candidate list can replace the
+    computed spanning forest.
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must lie in (0, 1], got {tau}")
     forest = candidates if candidates is not None else two_hop_mst(g, model.node_centrality)
-    lo, hi = 0, len(forest)
-    best = 0
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        probe = compute_utility(g, model, merge_prefix(g, forest, mid))
-        if probe >= tau:
-            best = mid
-            lo = mid + 1
-        else:
-            hi = mid - 1
+    best = _largest_prefix(g, model, tau, forest)
     partition = merge_prefix(g, forest, best)
     utility = compute_utility(g, model, partition)
     summary = build_superedges_lossy(g, model, partition)
     return LossyResult(summary, utility, best, len(forest))
+
+
+def _largest_prefix(g: Graph, model: EdgeWeightModel, tau: float, forest: MergePairList) -> int:
+    """The binary search of summarize_lossy over the merge tree; its
+    per-search arrays are freed before the final prefix is rebuilt."""
+    tree = forest.merge_tree
+    weights = _edge_weights(g, model)
+    lo, hi = 0, len(forest)
+    best = 0
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        if _utility(g, model, tree.labels(g.n, mid), weights) >= tau:
+            best = mid
+            lo = mid + 1
+        else:
+            hi = mid - 1
+    return best

@@ -307,8 +307,39 @@ def _check_count(path: Path, meta: dict[str, str], key: str, count: int, what: s
         raise _corrupt(path, f"{count} {what} listed, meta.txt records {key}={recorded}")
 
 
+# each kind word ending a kinds.txt line, and the same with its index in VALID_KINDS
+_KIND_INDEX = tuple(
+    (f" {kind}\n".encode(), f" {index}\n".encode()) for index, kind in enumerate(VALID_KINDS)
+)
+
+
 def _check_kinds(path: Path, kinds: list[str]) -> None:
-    """kinds.txt must tag each supernode once, with its structural kind."""
+    """kinds.txt must tag each supernode once, with its structural kind.
+
+    The tags are parsed and checked as arrays, each kind word read as its
+    index in VALID_KINDS. A file that fails any check (or that the array
+    parser rejects) is read again line by line, which names the first line
+    at fault.
+    """
+    data = path.read_bytes()
+    tagged = sum(data.count(word) for word, _ in _KIND_INDEX)
+    for word, index in _KIND_INDEX:
+        data = data.replace(word, index)
+    tags = graphmod.parse_int_pairs(data)
+    # every line's kind was a word exactly when each line took one replacement
+    if tags is not None and len(tags) == tagged == len(kinds):
+        sid, kind = tags[:, 0], tags[:, 1]
+        if (
+            np.all(sid < len(kinds))
+            and np.all(np.bincount(sid, minlength=len(kinds)) == 1)
+            and np.array_equal(np.asarray(VALID_KINDS)[kind], np.asarray(kinds, dtype=str)[sid])
+        ):
+            return
+    _check_kind_lines(path, kinds)
+
+
+def _check_kind_lines(path: Path, kinds: list[str]) -> None:
+    """_check_kinds one line at a time, raising at the first line at fault."""
     tagged: set[int] = set()
     lines = _read_text(path).splitlines()
     for lineno, tokens in enumerate(map(str.split, lines), start=1):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -441,3 +442,16 @@ def loop_eigenvector(g: Graph, tol: float, max_iter: int) -> tuple[np.ndarray, i
             break
         x = y
     return np.maximum(x, 0.0), iterations, converged
+
+
+def replayed_prefix_labels(n: int, pairs) -> Iterator[list[int]]:
+    """For t = 0..len(pairs), each node's smallest set-mate after merging
+    the first t pairs: sets merge one pair at a time, every member of the
+    set with the larger label taking the smaller one (no union-find)."""
+    labels = list(range(n))
+    yield labels
+    for u, v in pairs:
+        a, b = sorted((labels[u], labels[v]))
+        if a != b:
+            labels = [a if x == b else x for x in labels]
+        yield labels

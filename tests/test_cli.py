@@ -605,7 +605,19 @@ class TestNonConvergence:
         assert main([*argv, "--input", str(star_file), "--centrality", "eigenvector"]) == 0
         captured = capsys.readouterr()
         assert captured.out.startswith("centrality eigenvector\n")
-        assert captured.err == "warning: eigenvector did not converge in 1000 iterations\n"
+        # the --max-iter default, which eigenvector used to ignore for its own 1000
+        assert captured.err == "warning: eigenvector did not converge in 200 iterations\n"
+
+    def test_lossy_eigenvector_honours_max_iter(self, tmp_path, capsys):
+        graph = tmp_path / "star.txt"
+        graph.write_text("0 1\n0 2\n0 3\n0 4\n")
+        out = tmp_path / "lossy"
+        argv = ["lossy", "--input", str(graph), "--out", str(out), "--tau", "0.9"]
+        assert main([*argv, "--centrality", "eigenvector", "--max-iter", "5"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("n=5 m=4 ")
+        assert captured.err == "warning: eigenvector did not converge in 5 iterations\n"
+        assert read_meta(out / "meta.txt")["max_iter"] == "5"
 
 
 def test_every_centrality_kind_has_a_cli_entry():

@@ -26,14 +26,18 @@ from graphsum import (
     two_hop_mst,
     uniform_centrality,
 )
+from graphsum import lossy
+from graphsum.graph import relabel_by_first_appearance
+from graphsum.lossy import _edge_weights, _utility
 from graphsum.unionfind import UnionFind
 
 from conftest import random_graphs
-from generators import ba_graph, er_graph, path_graph, spread_graph, star_graph
+from generators import ba_graph, er_graph, path_graph, spread_graph, star_graph, twin_rich_graph
 from oracles import (
     loop_lossy_superedges,
     loop_utility,
     pairwise_utility,
+    replayed_prefix_labels,
     two_hop_by_matrix_square,
 )
 
@@ -351,6 +355,11 @@ class TestSummarizeLossy:
         with pytest.raises(ValueError, match="ascending"):
             MergePairList([(0, i + 1) for i in range(len(weights))], weights)
 
+    def test_candidate_nodes_must_not_be_negative(self):
+        # a negative id would index from the end of every per-node list
+        with pytest.raises(ValueError, match="nodes 0 and up"):
+            MergePairList([(0, 2), (-1, 2)], [1.0, 1.0])
+
     def test_er_frozen_instance(self):
         g = er_graph(80, 0.15, 8)
         model = build_weight_model(g, pagerank(g))
@@ -515,3 +524,107 @@ class TestArrayPassMatchesLoop:
         for _ in range(1500):
             uf.union(rng.randrange(46_000, n), rng.randrange(46_000, n))
         assert_matches_loop(g, model, uf)
+
+
+def assert_probes_match_replay(g, model, candidates):
+    """At every prefix 0..len, the merge-tree probe of summarize_lossy
+    gives the replayed partition (each node labelled by its smallest
+    set-mate) and exactly the utility of merge_prefix + compute_utility."""
+    tree, weights = candidates.merge_tree, _edge_weights(g, model)
+    replayed = replayed_prefix_labels(g.n, candidates.pairs)
+    for t, expected in enumerate(replayed):
+        labels = tree.labels(g.n, t)
+        assert labels.tolist() == expected, t
+        partition = merge_prefix(g, candidates, t)
+        assert relabel_by_first_appearance(labels).tolist() == partition.labels(), t
+        utility = compute_utility(g, model, partition)
+        assert _utility(g, model, labels, weights) == utility, t  # exact, not approx
+        assert utility == loop_utility(g, model, partition), t
+    assert t == len(candidates)
+
+
+def twin_or_small_graph(family, seed):
+    return twin_rich_graph(seed) if family == "twin" else small_graph(family, seed)
+
+
+class TestMergeTreeProbes:
+    @pytest.mark.parametrize("centrality", [uniform_centrality, degree_centrality, pagerank])
+    @pytest.mark.parametrize("family", ["er", "ba", "twin"])
+    def test_every_forest_prefix(self, family, centrality):
+        for seed in range(25):
+            g = twin_or_small_graph(family, seed)
+            if g.m == 0 or g.m == g.n * (g.n - 1) // 2:
+                continue
+            model = build_weight_model(g, centrality(g))
+            assert_probes_match_replay(g, model, two_hop_mst(g, model.node_centrality))
+
+    @pytest.mark.parametrize("centrality", [uniform_centrality, degree_centrality, pagerank])
+    @pytest.mark.parametrize("family", ["er", "ba", "twin"])
+    def test_full_candidate_list_with_redundant_pairs(self, family, centrality):
+        for seed in range(6):
+            g = twin_or_small_graph(family, seed)
+            if g.m == 0 or g.m == g.n * (g.n - 1) // 2:
+                continue
+            model = build_weight_model(g, centrality(g))
+            full = full_candidate_list(g, model.node_centrality)
+            assert_probes_match_replay(g, model, full)
+
+    def test_hand_made_list_with_redundant_pairs(self):
+        g = er_graph(30, 0.15, 4)
+        model = build_weight_model(g, pagerank(g))
+        forest = two_hop_mst(g, model.node_centrality)
+        pairs, weights = [], []
+        for (u, v), w in zip(forest.pairs, forest.weights):
+            pairs += [(u, v), (v, u), (u, v)]  # a pair, reversed, then again
+            weights += [w, w, w]
+        pairs.insert(5, pairs[0])  # a repeat well after the first merge
+        weights.insert(5, weights[5])
+        pairs.insert(2, (pairs[2][1], pairs[2][1]))  # a node paired with itself
+        weights.insert(2, weights[2])
+        assert_probes_match_replay(g, model, MergePairList(pairs, weights))
+
+    def test_nodes_beyond_the_list_stay_singletons(self):
+        # the tree's leaves stop at the largest listed node, 7
+        g = from_edges(10, [(0, 1), (1, 2), (2, 3), (3, 7), (7, 8), (8, 9)])
+        pinned = MergePairList([(0, 2), (1, 3), (2, 7)], [1.0, 1.0, 2.0])
+        assert pinned.merge_tree.leaves == 8
+        assert pinned.merge_tree.labels(g.n, 3).tolist() == [0, 1, 0, 1, 4, 5, 6, 0, 8, 9]
+        assert_probes_match_replay(g, build_weight_model(g, degree_centrality(g)), pinned)
+        with pytest.raises(ValueError, match="out of range"):
+            pinned.merge_tree.labels(7, 0)
+
+    def test_empty_list(self):
+        g = path_graph(3)
+        empty = MergePairList([], [])
+        assert empty.merge_tree.labels(g.n, 0).tolist() == [0, 1, 2]
+        model = build_weight_model(g, uniform_centrality(g))
+        res = summarize_lossy(g, model, 0.5, candidates=empty)
+        assert (res.prefix_length, res.utility) == (0, 1.0)
+
+    def test_one_tree_serves_every_search(self):
+        g = er_graph(80, 0.15, 8)
+        model = build_weight_model(g, pagerank(g))
+        forest = two_hop_mst(g, model.node_centrality)
+        assert forest.merge_tree is forest.merge_tree
+        for tau in (0.9, 0.6, 0.75):
+            shared = summarize_lossy(g, model, tau, candidates=forest)
+            copy = MergePairList(forest.pairs, forest.weights)
+            fresh = summarize_lossy(g, model, tau, candidates=copy)
+            assert (shared.prefix_length, shared.utility) == (fresh.prefix_length, fresh.utility)
+            assert shared.summary.membership.tolist() == fresh.summary.membership.tolist()
+            assert shared.summary.superedges == fresh.summary.superedges
+
+    def test_search_replays_only_the_final_prefix(self, monkeypatch):
+        g = er_graph(80, 0.15, 8)
+        model = build_weight_model(g, pagerank(g))
+        calls = []
+
+        def counted(name):
+            real = getattr(lossy, name)
+            return lambda *args: calls.append(name) or real(*args)
+
+        for name in ("merge_prefix", "compute_utility"):
+            monkeypatch.setattr(lossy, name, counted(name))
+        res = summarize_lossy(g, model, 0.8)
+        assert calls == ["merge_prefix", "compute_utility"]
+        assert res.prefix_length == 15

@@ -18,7 +18,8 @@ from graphsum import (
     summarize_lossy,
     summarize_naive,
 )
-from graphsum.summary import PairSet, read_meta
+from graphsum.errors import UnsupportedSummaryError
+from graphsum.summary import VALID_KINDS, PairSet, _check_kind_lines, read_meta
 
 from generators import ba_graph, er_graph, twin_rich_graph
 
@@ -181,3 +182,60 @@ class TestPairSet:
         s = Summary(np.array([0, 1, 2]), {(1, 2), (0, 2), (0, 0)})
         assert isinstance(s.superedges, PairSet)
         assert list(s.superedges) == [(0, 0), (0, 2), (1, 2)]
+
+
+class TestKindsFile:
+    """kinds.txt is checked as arrays; any file that check refuses is read
+    again line by line, so what loads and every message stay as the line
+    pass has them."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        s = summarize(twin_rich_graph(1))
+        assert set(s.kinds) == {"singleton", "clique", "independent_set"}
+        save_summary(s, tmp_path)
+        return s, tmp_path / "kinds.txt"
+
+    def lines(self, path):
+        return path.read_text().splitlines(keepends=True)
+
+    def test_other_valid_layouts_load(self, saved):
+        s, path = saved
+        lines = self.lines(path)
+        for text in (
+            "".join(reversed(lines)),
+            "\n" + "\n".join(lines),  # blank lines
+            "".join(line.replace(" ", "\t") for line in lines),
+            "".join(line.replace("\n", "  \n") for line in lines),
+            "".join(lines).rstrip("\n"),  # no final newline
+            "".join("00" + line for line in lines),
+        ):
+            path.write_text(text)
+            assert summaries_equal(load_summary(path.parent), s)
+
+    def test_messages_match_the_line_pass(self, saved):
+        s, path = saved
+        lines = self.lines(path)
+        k = len(lines)
+        wrong = "independent_set" if s.kinds[0] != "independent_set" else "clique"
+        for text in (
+            "".join(lines[1:]),  # a supernode untagged
+            "".join(lines + lines[:1]),  # tagged twice
+            "".join(lines[:1] + lines[:-1]),  # tagged twice, as many lines as supernodes
+            "".join(lines[:-1]) + f"{k} singleton\n",  # out of range
+            "".join(lines[:-1]) + f"{10**17} singleton\n",
+            "".join(lines[:-1]) + f"{10**19} singleton\n",
+            f"0 {wrong}\n" + "".join(lines[1:]),  # contradicts the structure
+            f"0 {VALID_KINDS.index(s.kinds[0])}\n" + "".join(lines[1:]),  # an index, not a word
+            "0 blob\n" + "".join(lines[1:]),
+            "+0 singleton\n" + "".join(lines[1:]),
+            "".join(lines) + "7\n",
+            "".join(lines) + "0 singleton 1\n",
+            "".join(lines) + "0 singleton\n0 singleton\n",
+        ):
+            path.write_text(text)
+            with pytest.raises(UnsupportedSummaryError) as by_line:
+                _check_kind_lines(path, s.kinds)
+            with pytest.raises(UnsupportedSummaryError) as loading:
+                load_summary(path.parent)
+            assert str(loading.value) == str(by_line.value)
