@@ -45,7 +45,7 @@ def app_utility(s: Summary, c: NodeCentrality, t_percent: float) -> AppUtilityRe
     if len(c) != s.n:
         raise ValueError("centrality length does not match summary")
     top = top_nodes(c, t_percent)
-    total = math.fsum(1.0 / s.size(s.supernode_of(v)) for v in top)
+    total = math.fsum((1.0 / s.sizes[s.membership[top]]).tolist())
     return AppUtilityReport(c.kind, t_percent, len(top), total / len(top))
 
 

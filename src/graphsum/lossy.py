@@ -17,10 +17,12 @@ parent array, truncated at the cut, gives every node its set's smallest
 node in a few gathers.
 
 A probe's utility, and the superedges of the final summary, come from one
-array pass over the edges: superpairs keyed lo*n + hi and numbered by
-sorting the keys, per-pair edge counts and weight sums by np.bincount in
-canonical edge order (the order of Graph.edges()), and the nonzero losses
-summed by math.fsum.
+array pass over the edges: superpairs keyed lo*n + hi and numbered by one
+in-place np.sort of each key packed with its edge index (an argsort where
+the packed key would pass 63 bits, as on graphs of millions of nodes and
+edges), per-pair edge counts and weight sums by np.bincount in canonical
+edge order (the order of Graph.edges()), and the nonzero losses summed by
+math.fsum.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ class MergePairList:
         return len(self.pairs)
 
     def __post_init__(self):
+        if len(self.pairs) != len(self.weights):
+            raise ValueError(f"{len(self.pairs)} merge pairs but {len(self.weights)} weights")
         if np.any(np.diff(self.weights) < 0):
             raise ValueError("merge pair weights must be ascending")
         if min(map(min, self.pairs), default=0) < 0:
@@ -123,20 +127,36 @@ def two_hop_mst(g: Graph, c: NodeCentrality) -> MergePairList:
     N(b) avoiding h(b) is the strict maximum of the triangle (h(b), y, x),
     so only the (at most 2m) star pairs (h(b), x) are sorted. Rounding can
     tie C_h + C_x with C_y + C_x when C_y is a few ulps above C_h: such a
-    near-hub y keeps its own star pairs too."""
+    near-hub y keeps its own star pairs too. The union pass runs over
+    plain lists with path halving and union by size; the pairs and weights
+    it keeps are read off the sorted arrays at the positions of the
+    unions that join two sets."""
     if len(c) != g.n:
         raise ValueError("centrality length does not match graph")
     n = g.n
     scores = np.asarray(c.scores, dtype=np.float64)
     keys = _star_pair_keys(g, scores)
     weights = scores[keys // n] + scores[keys % n]
-    keys = keys[np.argsort(weights, kind="stable")]  # keys ascend by (lo, hi)
-    forest, pairs = UnionFind(n), []
-    for key in keys.tolist():
+    order = np.argsort(weights, kind="stable")  # ties keep keys ascending by (lo, hi)
+    keys, weights = keys[order], weights[order]
+    del order  # m-sized: freed before the loop's key list
+    parent = list(range(n))
+    size = [1] * n
+    joined = []  # positions in keys of the unions that join two sets
+    for i, key in enumerate(keys.tolist()):
         u, v = divmod(key, n)
-        if forest.union(u, v):
-            pairs.append((u, v))
-    return MergePairList(pairs, [float(scores[u] + scores[v]) for u, v in pairs])
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            if size[u] < size[v]:
+                u, v = v, u
+            parent[v] = u
+            size[u] += size[v]
+            joined.append(i)
+    lo, hi = np.divmod(keys[joined], n)
+    return MergePairList(list(zip(lo.tolist(), hi.tolist())), weights[joined].tolist())
 
 
 def _star_pair_keys(g: Graph, scores: np.ndarray) -> np.ndarray:
@@ -220,28 +240,54 @@ def _superpair_costs(
     """Per supernode pair (a, b), a <= b, joined by at least one edge, in
     ascending (a, b) order: a, b, the cost of adding the superedge
     (spurious weight) and of dropping it (actual weight). labels are any
-    per-node ids below n; weights are _edge_weights(g, model)."""
+    per-node int64 ids below n; weights are _edge_weights(g, model).
+
+    The pairs are numbered by one in-place sort of the keys lo*n + hi
+    packed with their edge index, or by an argsort where the largest key
+    and the largest index need more than 63 bits between them (see
+    _number_keys)."""
     n = g.n
     u, v = g.edge_arrays
     lu, lv = labels[u], labels[v]
     keys = np.minimum(lu, lv) * n + np.maximum(lu, lv)
     del lu, lv  # m-sized: freed before the sort adds its own
-    order = np.argsort(keys)
-    keys = keys[order]
-    first = np.empty(len(keys), dtype=bool)  # each pair's first key in sorted order
+    pair, distinct = _number_keys(keys)
+    # bincount adds each pair's weights in canonical edge order
+    count = np.bincount(pair)
+    wsum = np.bincount(pair, weights=weights)
+    a, b = np.divmod(distinct, n)
+    size = np.bincount(labels)
+    possible = np.where(a == b, size[a] * (size[a] - 1) // 2, size[a] * size[b])
+    return a, b, (possible - count) * model.spurious_weight, wsum
+
+
+def _number_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per key, the rank of its value among the distinct values, and those
+    values ascending: np.unique(keys, return_inverse=True) reversed.
+    keys (int64, >= 0) may be overwritten.
+
+    One in-place np.sort of key << s | index, s the bit length of the
+    largest index, gives the sorted keys (by a shift) and the order that
+    sorts them (by a mask). Where the packed key would pass 63 bits, an
+    argsort and a gather give the same two arrays."""
+    shift = (len(keys) - 1).bit_length()
+    if int(keys.max(initial=0)).bit_length() + shift <= 63:
+        keys <<= shift
+        keys |= np.arange(len(keys))
+        keys.sort()
+        order = keys & ((1 << shift) - 1)
+        keys >>= shift
+    else:
+        order = np.argsort(keys)
+        keys = keys[order]
+    first = np.empty(len(keys), dtype=bool)  # each value's first key in sorted order
     first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     ids = np.cumsum(first)
     ids -= 1
-    pair = np.empty_like(ids)
-    pair[order] = ids
-    # bincount adds each pair's weights in canonical edge order
-    count = np.bincount(pair)
-    wsum = np.bincount(pair, weights=weights)
-    a, b = np.divmod(keys[first], n)
-    size = np.bincount(labels)
-    possible = np.where(a == b, size[a] * (size[a] - 1) // 2, size[a] * size[b])
-    return a, b, (possible - count) * model.spurious_weight, wsum
+    rank = np.empty_like(ids)
+    rank[order] = ids
+    return rank, keys[first]
 
 
 def _utility(

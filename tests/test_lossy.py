@@ -28,7 +28,7 @@ from graphsum import (
 )
 from graphsum import lossy
 from graphsum.graph import relabel_by_first_appearance
-from graphsum.lossy import _edge_weights, _utility
+from graphsum.lossy import _edge_weights, _number_keys, _utility
 from graphsum.unionfind import UnionFind
 
 from conftest import random_graphs
@@ -65,6 +65,10 @@ def small_graph(family, seed):
     if family == "spread":  # degree-0 rows before, between and after the others
         return spread_graph(er_graph(n // 2, rng.choice([0.2, 0.4]), seed))
     return ba_graph(n, rng.randint(1, 3), seed)
+
+
+def twin_or_small_graph(family, seed):
+    return twin_rich_graph(seed) if family == "twin" else small_graph(family, seed)
 
 
 def explicit_mst_weight(g, c):
@@ -355,6 +359,12 @@ class TestSummarizeLossy:
         with pytest.raises(ValueError, match="ascending"):
             MergePairList([(0, i + 1) for i in range(len(weights))], weights)
 
+    def test_candidate_weights_must_match_pairs(self):
+        with pytest.raises(ValueError, match="2 merge pairs but 1 weights"):
+            MergePairList([(0, 1), (1, 2)], [0.5])
+        with pytest.raises(ValueError, match="1 merge pairs but 2 weights"):
+            MergePairList([(0, 1)], [0.5, 0.5])
+
     def test_candidate_nodes_must_not_be_negative(self):
         # a negative id would index from the end of every per-node list
         with pytest.raises(ValueError, match="nodes 0 and up"):
@@ -424,12 +434,13 @@ class TestMstSufficiency:
             assert labels_after(forest.pairs, k) == labels_after(full.pairs, k)
 
     @pytest.mark.parametrize("centrality", [uniform_centrality, degree_centrality, pagerank])
-    @pytest.mark.parametrize("family", ["er", "ba", "spread"])
+    @pytest.mark.parametrize("family", ["er", "ba", "spread", "twin"])
     def test_forest_is_kruskal_over_full_list(self, family, centrality):
         # uniform and degree scores tie everywhere: the forest must still be
-        # the one minimum forest under (weight, min id, max id)
+        # the one minimum forest under (weight, min id, max id); twin graphs
+        # add blocks of twins, two components and two isolated nodes
         for seed in range(30):
-            g = small_graph(family, seed)
+            g = twin_or_small_graph(family, seed)
             c = centrality(g)
             forest = two_hop_mst(g, c)
             pairs, weights = kruskal_over_full_list(g, c)
@@ -526,6 +537,43 @@ class TestArrayPassMatchesLoop:
         assert_matches_loop(g, model, uf)
 
 
+class TestNumberKeys:
+    """The probe's key numbering, against np.unique at the edge of the
+    packed sort: the largest key's bit length plus that of the largest
+    index (3 for 5 keys) is 63 (packed) or 64 (argsort)."""
+
+    @pytest.mark.parametrize(
+        "keys, packed",
+        [
+            ([2**60 - 1, 7, 2**59, 7, 0], True),
+            ([2**60, 7, 2**59, 7, 0], False),
+            ([2**63 - 1, 2**63 - 1, 0, 5, 5], False),
+            ([9, 4, 9], True),
+            ([3], True),
+            ([], True),
+        ],
+    )
+    def test_matches_unique(self, keys, packed):
+        keys = np.array(keys, dtype=np.int64)
+        expected_keys, expected_ids = np.unique(keys, return_inverse=True)
+        work = keys.copy()
+        ids, distinct = _number_keys(work)
+        assert ids.tolist() == expected_ids.tolist()
+        assert distinct.tolist() == expected_keys.tolist()
+        # the packed sort leaves the sorted keys in place; argsort does not
+        assert np.array_equal(work, np.sort(keys) if packed else keys)
+
+    def test_random_keys_with_repeats(self):
+        rng = np.random.default_rng(5)
+        for top in (10, 2**31, 2**52):
+            keys = rng.integers(0, top, size=3000)
+            keys[::3] = keys[1::3]
+            expected_keys, expected_ids = np.unique(keys, return_inverse=True)
+            ids, distinct = _number_keys(keys.copy())
+            assert np.array_equal(ids, expected_ids)
+            assert np.array_equal(distinct, expected_keys)
+
+
 def assert_probes_match_replay(g, model, candidates):
     """At every prefix 0..len, the merge-tree probe of summarize_lossy
     gives the replayed partition (each node labelled by its smallest
@@ -541,10 +589,6 @@ def assert_probes_match_replay(g, model, candidates):
         assert _utility(g, model, labels, weights) == utility, t  # exact, not approx
         assert utility == loop_utility(g, model, partition), t
     assert t == len(candidates)
-
-
-def twin_or_small_graph(family, seed):
-    return twin_rich_graph(seed) if family == "twin" else small_graph(family, seed)
 
 
 class TestMergeTreeProbes:
