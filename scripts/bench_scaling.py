@@ -9,7 +9,9 @@ summary-side Pagerank should touch far fewer units than the original.
 at tau 0.8 given that forest; each run gets a fresh copy of it, so the
 time includes building the copy's merge tree but not the forest.
 `sum_sp_ms` is the median of 50 seeded summary-side shortest_path_length
-calls on one summary, in milliseconds.
+calls on one summary, in milliseconds. `tri_s` is the median
+count_triangles time; each run gets a fresh copy of the summary, so the
+time includes building the copy's supernode graph.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ def main() -> int:
 
     print(
         f"{'n':>7} {'m':>9} {'summarize':>10} {'utility':>9} {'forest_s':>8} {'lossy_s':>8}"
-        f" {'sum_pr':>8} {'orig_pr':>8} {'sum_sp_ms':>9}"
+        f" {'sum_pr':>8} {'orig_pr':>8} {'sum_sp_ms':>9} {'tri_s':>8}"
     )
     n = args.base_n
     for _ in range(args.doublings):
@@ -85,9 +87,13 @@ def main() -> int:
         t_ssp = statistics.median(
             median_time(lambda: gs.shortest_path_length(s, u, v), 1) for u, v in pairs
         )
+        fresh = iter(
+            [gs.Summary(s.membership, s.superedges, is_lossless=True) for _ in range(args.runs)]
+        )
+        t_tri = median_time(lambda: gs.count_triangles(next(fresh)), args.runs)
         print(
             f"{g.n:>7} {g.m:>9} {t_sum:>10.4f} {t_util:>9.4f} {t_forest:>8.4f} {t_lossy:>8.4f}"
-            f" {t_spr:>8.4f} {t_opr:>8.4f} {1e3 * t_ssp:>9.3f}"
+            f" {t_spr:>8.4f} {t_opr:>8.4f} {1e3 * t_ssp:>9.3f} {t_tri:>8.4f}"
         )
         n = round(n * 2 ** 0.5)
     return 0

@@ -30,7 +30,8 @@ class Graph:
 
     Nodes are 0..n-1. The adjacency of node u is the slice
     targets[offsets[u]:offsets[u+1]], strictly ascending. Construction
-    validates symmetry, sortedness and the absence of self-loops; after
+    validates symmetry, sortedness and the absence of self-loops (the
+    builders of this module make valid rows and skip the check); after
     that the graph is safe for unlimited concurrent readers.
     """
 
@@ -41,6 +42,17 @@ class Graph:
         _validate_csr(self.offsets, self.targets)
         self.offsets.setflags(write=False)
         self.targets.setflags(write=False)
+
+    @classmethod
+    def _from_valid_csr(cls, offsets: np.ndarray, targets: np.ndarray) -> Graph:
+        """A Graph over a CSR that is valid by construction, skipping the
+        re-check of __post_init__: for builders such as _simple_graph."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "offsets", offsets)
+        object.__setattr__(g, "targets", targets)
+        offsets.setflags(write=False)
+        targets.setflags(write=False)
+        return g
 
     # -- basic accessors ---------------------------------------------------
 
@@ -190,13 +202,17 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def _simple_graph(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
     """The graph on nodes 0..n-1 whose edges are the pairs (u[i], v[i]), none
-    a self-loop; directions and duplicates are merged by distinct_pair_keys."""
+    a self-loop; directions and duplicates are merged by distinct_pair_keys.
+
+    The rows come out of one sort of both directions' keys, so the CSR is
+    symmetric, ascending and loop-free by construction and skips the
+    Graph constructor's re-check, which would sort the same keys twice."""
     keys = distinct_pair_keys(u, v, n)
     lo, hi = np.divmod(keys, n)
     src, dst = np.divmod(np.sort(np.concatenate([keys, hi * n + lo])), n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
-    return Graph(offsets, dst)
+    return Graph._from_valid_csr(offsets, dst)
 
 
 def distinct_pair_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:

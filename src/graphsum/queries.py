@@ -3,10 +3,15 @@ summary directly, without reconstructing the original graph.
 
 Triangles come in three shapes: all three corners inside one clique
 supernode (a), an edge inside a clique plus one outside corner (b), and
-one corner in each of three mutually adjacent supernodes (c). Pagerank
-runs on supernode totals (every member of a supernode provably holds the
-same score). Shortest paths reduce to a level-synchronous BFS over the
-supernode graph plus a constant-time same-supernode case split.
+one corner in each of three mutually adjacent supernodes (c). Type c
+takes one oriented-wedge pass over the supernode graph: edges point up
+the (degree, id) order, and each wedge's closing edge is a binary search
+in one sorted key array; the member products sum in int64 while
+C(n, 3) < 2**63 and in Python ints past it.
+
+Pagerank runs on supernode totals (every member of a supernode provably
+holds the same score). Shortest paths reduce to a level-synchronous BFS
+over the supernode graph plus a constant-time same-supernode case split.
 
 All three read the supernode graph that Summary.super_adjacency() builds
 once per summary and caches: an ordinary immutable Graph over supernodes
@@ -24,6 +29,7 @@ import numpy as np
 
 from .centrality import DEFAULT_DAMPING, DEFAULT_MAX_ITER, DEFAULT_TOL, pagerank_iteration
 from .errors import UnsupportedSummaryError
+from .graph import Graph
 from .summary import Summary
 
 
@@ -45,43 +51,66 @@ class TriangleReport:
         return self.count_a + self.count_b + self.count_c
 
 
-def _super_triangles(adj: list[list[int]]) -> Iterator[tuple[int, int, int]]:
-    """Triangles of the supernode graph given as neighbor lists.
+def _super_triangles(
+    g: Graph, budget: int | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The triangles of g as id arrays (x, y, z), a chunk at a time; each
+    triangle appears once, its corners ascending in rank by (degree, id).
 
-    Degree-ordered neighbor intersection; each super-triangle appears once,
-    ordered by ascending rank.
+    The forward scheme: each edge points from its lower- to its
+    higher-ranked end, so each rank's out-row is an ascending slice of one
+    sorted key array rank_lo * k + rank_hi. Edge x->y opens a wedge with
+    every later slot x->z of its row; the wedge closes iff key y->z exists.
+    A chunk takes whole edges, at least one, up to budget wedges in all.
+    The default budget, one wedge per oriented edge, is never below one
+    edge's wedges (out-degrees are at most sqrt(2m)), so memory stays O(m).
     """
-    k = len(adj)
-    adj_sets = [set(row) for row in adj]
-    rank = sorted(range(k), key=lambda x: (len(adj[x]), x))
-    pos = [0] * k
-    for i, x in enumerate(rank):
-        pos[x] = i
-    for x in range(k):
-        for y in adj[x]:
-            if pos[y] <= pos[x]:
-                continue
-            small, large = (
-                (adj_sets[x], adj_sets[y])
-                if len(adj_sets[x]) <= len(adj_sets[y])
-                else (adj_sets[y], adj_sets[x])
-            )
-            for z in small:
-                if pos[z] > pos[y] and z in large:
-                    yield x, y, z
+    k = g.n
+    order = np.lexsort((np.arange(k), g.degrees))
+    rank = np.empty(k, dtype=np.int64)
+    rank[order] = np.arange(k)
+    lo, hi = rank[g.sources], rank[g.targets]
+    forward = lo < hi
+    keys = np.sort(lo[forward] * k + hi[forward])
+    lo, hi = np.divmod(keys, k)
+    row_end = np.cumsum(np.bincount(lo, minlength=k))
+    wedges = row_end[lo] - np.arange(len(keys)) - 1  # the later slots of each edge's row
+    wedge_end = np.cumsum(wedges)
+    budget = budget or len(keys)
+    start = done = 0
+    while start < len(keys):
+        stop = max(int(np.searchsorted(wedge_end, done + budget, "right")), start + 1)
+        total = int(wedge_end[stop - 1]) - done
+        counts = wedges[start:stop]
+        # wedge t of edge e pairs it with slot e + 1 + t of the same row
+        first = np.arange(start + 1, stop + 1) - (wedge_end[start:stop] - counts - done)
+        slot = np.arange(total) + np.repeat(first, counts)
+        y = np.repeat(hi[start:stop], counts)
+        close = y * k + hi[slot]
+        found = keys.take(np.searchsorted(keys, close), mode="clip") == close
+        slot = slot[found]
+        yield order[lo[slot]], order[y[found]], order[hi[slot]]
+        start, done = stop, done + total
 
 
 def count_triangles(s: Summary) -> TriangleReport:
-    """Triangle totals per type; the grand total equals the original graph's."""
+    """Triangle totals per type; the grand total equals the original graph's.
+
+    Type c adds sizes[x] * sizes[y] * sizes[z] over the super-triangles of
+    _super_triangles. It sums in int64 while C(n, 3) < 2**63: every
+    partial sum counts distinct triangles of the original graph, so none
+    can overflow. Past that bound it sums Python ints, as types a and b do.
+    """
     _require_lossless(s)
     super_graph = s.super_adjacency()
     reach = super_graph.row_reduce(np.add, s.sizes[super_graph.targets], 0)  # neighbor members
     k = s.sizes[s.cliques].astype(object)  # Python ints: the products cannot overflow
     count_a = int((k * (k - 1) * (k - 2) // 6).sum())
     count_b = int((k * (k - 1) // 2 * reach[s.cliques]).sum())
-    sizes = s.sizes.tolist()
-    triples = _super_triangles(super_graph.adjacency_lists)
-    count_c = sum(sizes[x] * sizes[y] * sizes[z] for x, y, z in triples)
+    sizes = s.sizes.astype(np.int64 if math.comb(s.n, 3) < 2**63 else object)
+    count_c = 0
+    for x, y, z in _super_triangles(super_graph):
+        count_c += int((sizes[x] * sizes[y] * sizes[z]).sum())
     return TriangleReport(count_a, count_b, count_c)
 
 
@@ -92,22 +121,29 @@ def enumerate_triangles(
 
     Triples are sorted ascending; emission order is type a, then b, then c,
     each generator in ascending canonical order, so output is reproducible.
+    Type c visits the super-triangles of _super_triangles sorted by their
+    (x, y, z) ids.
     """
     _require_lossless(s)
     cliques = np.flatnonzero(s.cliques).tolist()
-    adj = s.super_adjacency().adjacency_lists
+    super_graph = s.super_adjacency()
     for x in cliques:
         for triple in combinations(s.members(x), 3):
             sink(triple)
     for x in cliques:
+        neighbors = super_graph.neighbors_list(x)
         for pair in combinations(s.members(x), 2):
-            for y in adj[x]:
+            for y in neighbors:
                 for w in s.members(y):
                     sink(tuple(sorted((pair[0], pair[1], w))))
-    for x, y, z in sorted(_super_triangles(adj)):
-        for u in s.members(x):
-            for v in s.members(y):
-                for w in s.members(z):
+    none = np.zeros(0, dtype=np.int64)  # an edgeless supernode graph yields no chunk
+    chunks = zip((none, none, none), *_super_triangles(super_graph))
+    x, y, z = (np.concatenate(ids) for ids in chunks)
+    order = np.lexsort((z, y, x))
+    for a, b, c in zip(x[order].tolist(), y[order].tolist(), z[order].tolist()):
+        for u in s.members(a):
+            for v in s.members(b):
+                for w in s.members(c):
                     sink(tuple(sorted((u, v, w))))
 
 

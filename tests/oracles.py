@@ -382,6 +382,55 @@ def loop_triangle_types_ab(s: Summary) -> tuple[int, int]:
     return count_a, count_b
 
 
+def set_super_triangles(adj: list[list[int]]) -> Iterator[tuple[int, int, int]]:
+    """Triangles of the supernode graph given as neighbor lists, by
+    degree-ordered intersection of Python sets; each super-triangle appears
+    once, ordered by ascending rank (degree, then id)."""
+    k = len(adj)
+    adj_sets = [set(row) for row in adj]
+    rank = sorted(range(k), key=lambda x: (len(adj[x]), x))
+    pos = [0] * k
+    for i, x in enumerate(rank):
+        pos[x] = i
+    for x in range(k):
+        for y in adj[x]:
+            if pos[y] <= pos[x]:
+                continue
+            small, large = (
+                (adj_sets[x], adj_sets[y])
+                if len(adj_sets[x]) <= len(adj_sets[y])
+                else (adj_sets[y], adj_sets[x])
+            )
+            for z in small:
+                if pos[z] > pos[y] and z in large:
+                    yield x, y, z
+
+
+def set_triangle_type_c(s: Summary) -> int:
+    """count_triangles' type c: member products over set_super_triangles."""
+    sizes = s.sizes.tolist()
+    triples = set_super_triangles(super_adjacency_lists(s))
+    return sum(sizes[x] * sizes[y] * sizes[z] for x, y, z in triples)
+
+
+def loop_enumerate_triangles(s: Summary) -> list[tuple[int, int, int]]:
+    """enumerate_triangles' sequence by loops over member and neighbor
+    lists: types a, b, then c over sorted set_super_triangles."""
+    adj = super_adjacency_lists(s)
+    cliques = [x for x, kind in enumerate(s.kinds) if kind == "clique"]
+    out: list[tuple[int, int, int]] = []
+    for x in cliques:
+        out.extend(itertools.combinations(s.members(x), 3))
+    for x in cliques:
+        for u, v in itertools.combinations(s.members(x), 2):
+            for y in adj[x]:
+                out.extend(tuple(sorted((u, v, w))) for w in s.members(y))
+    for x, y, z in sorted(set_super_triangles(adj)):
+        for u, v, w in itertools.product(s.members(x), s.members(y), s.members(z)):
+            out.append(tuple(sorted((u, v, w))))
+    return out
+
+
 _MASK64 = (1 << 64) - 1
 
 

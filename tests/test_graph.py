@@ -293,6 +293,34 @@ class TestInvariants:
             from_edges(2, [(0, 2)])
 
 
+@st.composite
+def loop_free_edge_arrays(draw):
+    """(n, u, v): n in 0..12, and pairs of ids below n with no self-loop,
+    drawn with repeats, so duplicates, reversed pairs and isolated nodes
+    all occur."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    if n < 2:
+        return n, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    ids = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(ids, ids).filter(lambda p: p[0] != p[1]), max_size=40))
+    flat = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return n, flat[:, 0], flat[:, 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(loop_free_edge_arrays())
+def test_simple_graph_output_passes_the_csr_check(case):
+    # _simple_graph skips the constructor's _validate_csr; every CSR it
+    # builds must pass it anyway and hold exactly the drawn pairs
+    n, u, v = case
+    g = graph_module._simple_graph(n, u, v)
+    graph_module._validate_csr(g.offsets, g.targets)
+    assert g.n == n
+    assert set(g.edges()) == {(min(a, b), max(a, b)) for a, b in zip(u.tolist(), v.tolist())}
+    assert not g.offsets.flags.writeable and not g.targets.flags.writeable
+    assert Graph(g.offsets.copy(), g.targets.copy()) == g
+
+
 ROW_GRAPHS = {
     "spread_er": spread_graph(er_graph(20, 0.2, 1)),
     "spread_star": spread_graph(star_graph(4)),

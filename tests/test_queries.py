@@ -10,6 +10,7 @@ from hypothesis import given, settings
 
 from graphsum import (
     Summary,
+    TriangleReport,
     UnsupportedSummaryError,
     build_weight_model,
     count_triangles,
@@ -25,6 +26,7 @@ from graphsum import (
     summarize_lossy,
     uniform_centrality,
 )
+from graphsum.queries import _super_triangles
 
 from conftest import random_graphs
 from generators import (
@@ -37,9 +39,12 @@ from generators import (
 )
 from oracles import (
     bfs_distances,
+    loop_enumerate_triangles,
     loop_pagerank,
     loop_summary_pagerank,
     loop_triangle_types_ab,
+    set_super_triangles,
+    set_triangle_type_c,
     super_adjacency_lists,
     triangle_count_matrix,
     triangle_set_enumeration,
@@ -162,6 +167,76 @@ class TestTriangles:
     def test_lossy_summary_rejected(self, lossy_summary):
         with pytest.raises(UnsupportedSummaryError):
             count_triangles(lossy_summary)
+
+
+# Inputs of the oriented-wedge pass: twin-rich blow-ups, the plain
+# generators, graphs with no edge or no node, and summaries whose
+# supernode graph has no edge or isolated supernodes.
+WEDGE_SUMMARIES = {
+    **{f"twins{seed}": partial(twin_rich_graph, seed) for seed in range(6)},
+    **{f"er{seed}": partial(er_graph, 40, 0.2, seed) for seed in range(3)},
+    **{f"ba{seed}": partial(ba_graph, 60, 4, seed) for seed in range(3)},
+    "complete": partial(complete_graph, 6),
+    "star": partial(star_graph, 7),
+    "path": partial(path_graph, 9),
+    "edgeless": partial(from_edges, 5, []),
+    "empty": partial(from_edges, 0, []),
+    "two-triangles": partial(
+        from_edges, 7, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
+    ),
+}
+
+
+def wedge_summary(name: str) -> Summary:
+    if name == "isolated-supernodes":
+        return isolated_supernodes_summary()
+    return summarize(WEDGE_SUMMARIES[name]())
+
+
+WEDGE_NAMES = [*WEDGE_SUMMARIES, "isolated-supernodes"]
+
+
+class TestOrientedWedges:
+    @pytest.mark.parametrize("name", WEDGE_NAMES)
+    def test_report_matches_set_oracle(self, name):
+        s = wedge_summary(name)
+        expected = TriangleReport(*loop_triangle_types_ab(s), set_triangle_type_c(s))
+        assert count_triangles(s) == expected
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, None])
+    @pytest.mark.parametrize("name", WEDGE_NAMES)
+    def test_every_wedge_budget_finds_each_triangle_once(self, name, budget):
+        s = wedge_summary(name)
+        triples = [
+            triple
+            for chunk in _super_triangles(s.super_adjacency(), budget)
+            for triple in zip(*(ids.tolist() for ids in chunk))
+        ]
+        expected = list(set_super_triangles(super_adjacency_lists(s)))
+        assert sorted(triples) == sorted(expected)
+
+    def test_no_cross_superedge(self):
+        s = wedge_summary("two-triangles")
+        assert s.super_adjacency().m == 0
+        assert count_triangles(s) == TriangleReport(2, 0, 0)
+
+    def test_type_c_past_int64_counts_exactly(self):
+        # three mutually adjacent independent sets: C(n, 3) >= 2**63 takes
+        # the Python-int path, and the one product itself exceeds int64
+        size = 2**21 + 1
+        membership = np.repeat(np.arange(3), size)
+        s = Summary(membership, {(0, 1), (0, 2), (1, 2)}, is_lossless=True)
+        assert size**3 > np.iinfo(np.int64).max
+        assert count_triangles(s) == TriangleReport(0, 0, size**3)
+
+    @pytest.mark.parametrize(
+        "name", [f"twins{seed}" for seed in range(6)] + ["er0", "er1", "er2", "ba0", "ba1", "ba2"]
+    )
+    def test_enumeration_order_matches_loop_oracle(self, name):
+        s = wedge_summary(name)
+        seen: list[tuple[int, int, int]] = []
+        enumerate_triangles(s, seen.append)
+        assert seen == loop_enumerate_triangles(s)
 
 
 class TestSummaryPagerank:
