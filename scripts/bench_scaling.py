@@ -5,6 +5,8 @@ count, plus summary-side vs original-side query times.
 Prints one aligned table. Doubling the edge count at fixed density should
 roughly double the linear passes (summarize, compute_utility) and the
 summary-side Pagerank should touch far fewer units than the original.
+`utility` is the median compute_utility time on a label array that puts
+each node in one of 50 seeded groups, built outside the timer.
 `forest_s` is the median two_hop_mst time. `lossy_s` is summarize_lossy
 at tau 0.8 given that forest; each run gets a fresh copy of it, so the
 time includes building the copy's merge tree but not the forest.
@@ -28,7 +30,6 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import graphsum as gs
-from graphsum.unionfind import UnionFind
 
 
 def er_np(n: int, p: float, seed: int) -> gs.Graph:
@@ -68,13 +69,11 @@ def main() -> int:
         g = er_np(n, args.p, args.seed)
         g.edge_arrays  # build the cached edge arrays outside the timers
         model = gs.build_weight_model(g, gs.uniform_centrality(g))
-        uf = UnionFind(g.n)
         rng = random.Random(3)
-        for u in range(g.n):
-            uf.union(u, rng.randrange(50))
+        labels = np.array([rng.randrange(50) for _ in range(g.n)])
         s = gs.summarize(g)
         t_sum = median_time(lambda: gs.summarize(g), args.runs)
-        t_util = median_time(lambda: gs.compute_utility(g, model, uf), args.runs)
+        t_util = median_time(lambda: gs.compute_utility(g, model, labels), args.runs)
         t_forest = median_time(lambda: gs.two_hop_mst(g, model.node_centrality), args.runs)
         forest = gs.two_hop_mst(g, model.node_centrality)
         copies = iter([gs.MergePairList(forest.pairs, forest.weights) for _ in range(args.runs)])

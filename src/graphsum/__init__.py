@@ -27,7 +27,7 @@ from .errors import (
 )
 from .evaluate import app_utility, reduction_in_nodes, verify_lossless
 from .graph import Graph, LoadResult, from_edges, load_edge_list, write_edge_list
-from .lossless import summarize, summarize_naive
+from .lossless import summarize
 from .queries import (
     SummaryPagerank,
     TriangleReport,
@@ -91,7 +91,6 @@ __all__ = [
     "shortest_path_length",
     "summarize",
     "summarize_lossy",
-    "summarize_naive",
     "two_hop_mst",
     "uniform_centrality",
     "verify_lossless",

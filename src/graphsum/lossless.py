@@ -3,10 +3,10 @@
 Two nodes can share a supernode in a lossless summary only if they have
 identical neighborhoods (independent set) or identical closed neighborhoods
 (clique; equivalently they are adjacent and agree on all other neighbors).
-`summarize_naive` applies the quadratic greedy grouping directly and serves
-as the optimality oracle. `summarize` is the scalable pipeline: hash every
-(closed) neighborhood into 64-bit buckets, filter false positives by exact
-comparison, mop up singletons and build superedges in one edge sweep.
+`summarize` groups every node with all nodes it can share a supernode with:
+hash every (closed) neighborhood into 64-bit buckets, filter false positives
+by exact comparison, mop up singletons and build superedges in one edge
+sweep.
 
 The neighborhood hash is additive: the sum, wrapping in uint64, of a mixed
 value per member. It ignores order, so one row sum over the adjacency
@@ -193,8 +193,8 @@ def _assemble(g: Graph, clique_groups, is_groups) -> Summary:
 def summarize(g: Graph, seed: int = DEFAULT_SEED) -> Summary:
     """Scalable lossless summarizer: hash, filter, mop up, build superedges.
 
-    O(E log E) time (sorts) and O(E) working space. The partition is
-    identical to summarize_naive; only bucket layout depends on the seed.
+    O(E log E) time (sorts) and O(E) working space. The partition is the
+    optimal one whatever the seed; only bucket layout depends on it.
     """
     map_clique, map_is = candidate_supernodes(g, seed=seed)
     clique_groups = filter_supernodes(g, map_clique, KIND_CLIQUE)
@@ -202,38 +202,3 @@ def summarize(g: Graph, seed: int = DEFAULT_SEED) -> Summary:
     is_groups = filter_supernodes(g, map_is, KIND_INDEPENDENT_SET, skip=claimed)
     return _assemble(g, clique_groups, is_groups)
 
-
-def summarize_naive(g: Graph) -> Summary:
-    """Quadratic reference summarizer: pairwise neighborhood comparison.
-
-    For each unprocessed u, collects every v with N(u) = N(v) (independent
-    set) or, when adjacent, N(u) minus v = N(v) minus u (clique). Optimal
-    by the greedy argument: each group is the largest supernode its members
-    can ever occupy.
-    """
-    nbr_sets = [frozenset(g.neighbors_list(v)) for v in range(g.n)]
-    degrees = g.degrees.tolist()
-    processed = [False] * g.n
-    clique_groups: list[list[int]] = []
-    is_groups: list[list[int]] = []
-    for u in range(g.n):
-        if processed[u]:
-            continue
-        processed[u] = True
-        group = [u]
-        is_clique = False
-        nu = nbr_sets[u]
-        for v in range(u + 1, g.n):
-            if processed[v] or degrees[v] != degrees[u]:
-                continue
-            if nu == nbr_sets[v]:
-                is_clique = False
-            elif v in nu and nu - {v} == nbr_sets[v] - {u}:
-                is_clique = True
-            else:
-                continue
-            group.append(v)
-            processed[v] = True
-        if len(group) >= 2:
-            (clique_groups if is_clique else is_groups).append(group)
-    return _assemble(g, clique_groups, is_groups)

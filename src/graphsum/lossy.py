@@ -9,12 +9,14 @@ pair list. Utility is non-increasing as the sorted forest edges are merged
 in order, so the largest merge prefix that keeps utility above the threshold
 is found by binary search.
 
-A probe does not replay the merges. Each candidate list builds, once, its
+No partition replays the merges. Each candidate list builds, once, its
 merge tree: the single-linkage dendrogram of its pairs (Gower & Ross 1969),
 in which merge e is a tree node above the two sets it joins. The partition
 after any prefix is a cut of that tree, and pointer jumping over the tree's
 parent array, truncated at the cut, gives every node its set's smallest
-node in a few gathers.
+node in a few gathers. That per-node label array is the one partition form:
+every probe and the final prefix (merge_prefix) read it off the tree, and
+compute_utility and build_superedges_lossy take it.
 
 A probe's utility, and the superedges of the final summary, come from one
 array pass over the edges: superpairs keyed lo*n + hi and numbered by one
@@ -37,7 +39,6 @@ from .centrality import EdgeWeightModel, NodeCentrality
 from .errors import CapExceededError
 from .graph import Graph, distinct_pair_keys, relabel_by_first_appearance
 from .summary import PairSet, Summary
-from .unionfind import UnionFind
 
 DEFAULT_PAIR_CAP = 5_000_000
 
@@ -201,14 +202,13 @@ def full_candidate_list(
     return MergePairList([(a, b) for _, a, b in edges], [w for w, _, _ in edges])
 
 
-def merge_prefix(g: Graph, candidates: MergePairList, t: int) -> UnionFind:
-    """Partition after processing the first t candidate pairs from singletons."""
+def merge_prefix(g: Graph, candidates: MergePairList, t: int) -> np.ndarray:
+    """Partition after merging the first t candidate pairs from singletons,
+    read off the list's merge tree: per node, the smallest node of its set
+    (int64). A list naming a node outside g raises ValueError."""
     if not 0 <= t <= len(candidates):
         raise ValueError(f"prefix length {t} out of range 0..{len(candidates)}")
-    uf = UnionFind(g.n)
-    for u, v in candidates.pairs[:t]:
-        uf.union(u, v)
-    return uf
+    return candidates.merge_tree.labels(g.n, t)
 
 
 def _roots(parent: np.ndarray) -> np.ndarray:
@@ -221,9 +221,16 @@ def _roots(parent: np.ndarray) -> np.ndarray:
         parent = jumped
 
 
-def _root_labels(partition: UnionFind) -> np.ndarray:
-    """The root of every node of any UnionFind, path-compressed or not."""
-    return _roots(np.array(partition.parent, dtype=np.int64))
+def _checked_labels(g: Graph, labels: np.ndarray) -> np.ndarray:
+    """labels as int64, or ValueError unless they are a 1-d integer array
+    naming one set id in 0..n-1 per node of g; an id of n or more would let
+    the superpair keys lo*n + hi of two different pairs collide."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.dtype.kind not in "iu" or len(labels) != g.n:
+        raise ValueError(f"partition labels must be a 1-d integer array of {g.n} node ids")
+    if g.n and not (labels.min() >= 0 and labels.max() < g.n):
+        raise ValueError(f"partition labels must lie in 0..{g.n - 1}")
+    return labels.astype(np.int64, copy=False)
 
 
 def _edge_weights(g: Graph, model: EdgeWeightModel) -> np.ndarray:
@@ -301,8 +308,10 @@ def _utility(
     return min(1.0, max(0.0, value))
 
 
-def compute_utility(g: Graph, model: EdgeWeightModel, partition: UnionFind) -> float:
-    """Utility of the summary induced by the partition, in [0, 1].
+def compute_utility(g: Graph, model: EdgeWeightModel, labels: np.ndarray) -> float:
+    """Utility of the summary induced by the partition, in [0, 1]. labels
+    give each node a set id in 0..n-1, as merge_prefix does; anything else
+    raises ValueError.
 
     One array pass over E groups the edges by supernode pair and sums, per
     pair, the actual edge count and weight (np.bincount, in canonical edge
@@ -312,16 +321,15 @@ def compute_utility(g: Graph, model: EdgeWeightModel, partition: UnionFind) -> f
     The nonzero losses are summed by math.fsum, which is correctly
     rounded, so the result does not depend on how the pairs are numbered.
     """
-    return _utility(g, model, _root_labels(partition), _edge_weights(g, model))
+    return _utility(g, model, _checked_labels(g, labels), _edge_weights(g, model))
 
 
-def build_superedges_lossy(
-    g: Graph, model: EdgeWeightModel, partition: UnionFind
-) -> Summary:
-    """Summary for a lossy partition: superedge iff adding costs no more
-    than dropping (ties keep the superedge). No kind tags.
+def build_superedges_lossy(g: Graph, model: EdgeWeightModel, labels: np.ndarray) -> Summary:
+    """Summary for a lossy partition, given as compute_utility takes it:
+    superedge iff adding costs no more than dropping (ties keep the
+    superedge). Supernodes are numbered by first appearance. No kind tags.
     """
-    labels = relabel_by_first_appearance(_root_labels(partition))
+    labels = relabel_by_first_appearance(_checked_labels(g, labels))
     a, b, sedge, nsedge = _superpair_costs(g, model, labels, _edge_weights(g, model))
     keep = sedge <= nsedge
     return Summary(labels, PairSet(a[keep], b[keep]))
@@ -348,23 +356,24 @@ def summarize_lossy(
     off the candidate list's merge tree (built once per list, see
     MergeTree) and sums its utility with the edge weights computed once
     per search; it gives what merge_prefix and compute_utility give, bit
-    for bit. Those two, and build_superedges_lossy, then derive the result
-    at the final prefix. An explicit candidate list can replace the
-    computed spanning forest.
+    for bit. merge_prefix reads the final prefix off the same tree, and
+    compute_utility and build_superedges_lossy derive the result from
+    those labels. An explicit candidate list can replace the computed
+    spanning forest.
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must lie in (0, 1], got {tau}")
     forest = candidates if candidates is not None else two_hop_mst(g, model.node_centrality)
     best = _largest_prefix(g, model, tau, forest)
-    partition = merge_prefix(g, forest, best)
-    utility = compute_utility(g, model, partition)
-    summary = build_superedges_lossy(g, model, partition)
+    labels = merge_prefix(g, forest, best)
+    utility = compute_utility(g, model, labels)
+    summary = build_superedges_lossy(g, model, labels)
     return LossyResult(summary, utility, best, len(forest))
 
 
 def _largest_prefix(g: Graph, model: EdgeWeightModel, tau: float, forest: MergePairList) -> int:
     """The binary search of summarize_lossy over the merge tree; its
-    per-search arrays are freed before the final prefix is rebuilt."""
+    per-search arrays are freed before the final prefix is read."""
     tree = forest.merge_tree
     weights = _edge_weights(g, model)
     lo, hi = 0, len(forest)

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Iterator
 
 import numpy as np
 
 from graphsum import CapExceededError, EdgeWeightModel, Graph, Summary, from_edges
 from graphsum.evaluate import LosslessnessReport
+from graphsum.lossless import _assemble
 from graphsum.summary import DEFAULT_RECONSTRUCT_CAP
 
 
@@ -223,6 +224,42 @@ def pivot_loop_groups(
     return groups
 
 
+def summarize_naive(g: Graph) -> Summary:
+    """Quadratic reference summarizer: pairwise neighborhood comparison.
+
+    For each unprocessed u, collects every v with N(u) = N(v) (independent
+    set) or, when adjacent, N(u) minus v = N(v) minus u (clique). Optimal
+    by the greedy argument: each group is the largest supernode its members
+    can ever occupy.
+    """
+    nbr_sets = [frozenset(g.neighbors_list(v)) for v in range(g.n)]
+    degrees = g.degrees.tolist()
+    processed = [False] * g.n
+    clique_groups: list[list[int]] = []
+    is_groups: list[list[int]] = []
+    for u in range(g.n):
+        if processed[u]:
+            continue
+        processed[u] = True
+        group = [u]
+        is_clique = False
+        nu = nbr_sets[u]
+        for v in range(u + 1, g.n):
+            if processed[v] or degrees[v] != degrees[u]:
+                continue
+            if nu == nbr_sets[v]:
+                is_clique = False
+            elif v in nu and nu - {v} == nbr_sets[v] - {u}:
+                is_clique = True
+            else:
+                continue
+            group.append(v)
+            processed[v] = True
+        if len(group) >= 2:
+            (clique_groups if is_clique else is_groups).append(group)
+    return _assemble(g, clique_groups, is_groups)
+
+
 def partition_key(groups) -> set[frozenset[int]]:
     return {frozenset(grp) for grp in groups}
 
@@ -264,15 +301,15 @@ def pairwise_utility(g: Graph, model: EdgeWeightModel, labels) -> float:
     return 1.0 - loss
 
 
-def superpair_loop(g: Graph, model: EdgeWeightModel, uf) -> dict[tuple[int, int], list]:
-    """Per pair of union-find roots (a <= b): [actual edge count, summed
-    actual edge weight], one find pair and dict update per edge, in the
-    order of g.edges(). The reference accumulation of the array pass."""
+def superpair_loop(g: Graph, model: EdgeWeightModel, labels) -> dict[tuple[int, int], list]:
+    """Per pair of set labels (a <= b): [actual edge count, summed actual
+    edge weight], one dict update per edge, in the order of g.edges(). The
+    reference accumulation of the array pass."""
     scores = model.node_centrality.scores.tolist()
     z = model.actual_norm
     acc: dict[tuple[int, int], list] = {}
     for u, v in g.edges():
-        a, b = uf.find(u), uf.find(v)
+        a, b = labels[u], labels[v]
         pair = (a, b) if a <= b else (b, a)
         entry = acc.get(pair)
         weight = (scores[u] + scores[v]) / z
@@ -284,42 +321,48 @@ def superpair_loop(g: Graph, model: EdgeWeightModel, uf) -> dict[tuple[int, int]
     return acc
 
 
-def _loop_costs(pair, count, wsum, uf, w_s) -> tuple[float, float]:
-    """(cost of adding the superedge, cost of dropping it)."""
+def _loop_costs(pair, count, wsum, size, w_s) -> tuple[float, float]:
+    """(cost of adding the superedge, cost of dropping it); size counts
+    the members of each label."""
     a, b = pair
     if a == b:
-        spurious = uf.size[a] * (uf.size[a] - 1) // 2 - count
+        spurious = size[a] * (size[a] - 1) // 2 - count
     else:
-        spurious = uf.size[a] * uf.size[b] - count
+        spurious = size[a] * size[b] - count
     return spurious * w_s, wsum
 
 
-def loop_utility(g: Graph, model: EdgeWeightModel, uf) -> float:
-    """compute_utility by the per-edge loop; compresses uf's paths."""
-    acc = superpair_loop(g, model, uf)
+def loop_utility(g: Graph, model: EdgeWeightModel, labels) -> float:
+    """compute_utility by the per-edge loop over per-node set labels."""
+    labels = [int(x) for x in labels]
+    acc = superpair_loop(g, model, labels)
+    size = Counter(labels)
     losses = [
-        min(_loop_costs(pair, count, wsum, uf, model.spurious_weight))
+        min(_loop_costs(pair, count, wsum, size, model.spurious_weight))
         for pair, (count, wsum) in sorted(acc.items())
     ]
     return min(1.0, max(0.0, 1.0 - math.fsum(losses)))
 
 
 def loop_lossy_superedges(
-    g: Graph, model: EdgeWeightModel, uf
+    g: Graph, model: EdgeWeightModel, labels
 ) -> tuple[list[int], set[tuple[int, int]]]:
     """(membership, superedges) of build_superedges_lossy by the per-edge
-    loop: labels by first appearance, superedge iff adding costs no more
-    than dropping. Compresses uf's paths."""
-    acc = superpair_loop(g, model, uf)
-    labels = uf.labels()
-    root_to_label = {uf.find(u): labels[u] for u in range(g.n)}
+    loop over per-node set labels: supernodes numbered by first
+    appearance, superedge iff adding costs no more than dropping."""
+    labels = [int(x) for x in labels]
+    acc = superpair_loop(g, model, labels)
+    size = Counter(labels)
+    dense: dict[int, int] = {}
+    for x in labels:
+        dense.setdefault(x, len(dense))
     superedges = set()
     for pair, (count, wsum) in acc.items():
-        sedge, nsedge = _loop_costs(pair, count, wsum, uf, model.spurious_weight)
+        sedge, nsedge = _loop_costs(pair, count, wsum, size, model.spurious_weight)
         if sedge <= nsedge:
-            a, b = root_to_label[pair[0]], root_to_label[pair[1]]
+            a, b = dense[pair[0]], dense[pair[1]]
             superedges.add((a, b) if a <= b else (b, a))
-    return labels, superedges
+    return [dense[x] for x in labels], superedges
 
 
 def loop_lossless_superedges(g: Graph, labels) -> set[tuple[int, int]]:

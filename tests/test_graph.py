@@ -410,3 +410,20 @@ def test_only_graph_reads_the_csr_layout():
         for read in csr_layout_reads(path)
     ]
     assert found == []
+
+
+def test_only_the_package_root_imports_unionfind():
+    # the lossy partitions are label arrays read off the merge tree; the
+    # union-find class stays exported, but no library module runs it
+    package = Path(graph_module.__file__).parent
+    importers = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            names = [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom):
+                names.append(node.module or "")
+            if any(name.split(".")[-1] == "unionfind" for name in names):
+                importers.append(f"{path.name}:{node.lineno}")
+    assert [read.split(":")[0] for read in importers] == ["__init__.py"], importers

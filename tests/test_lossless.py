@@ -14,7 +14,6 @@ from graphsum import (
     from_edges,
     reconstruct,
     summarize,
-    summarize_naive,
     verify_lossless,
 )
 from graphsum import lossless
@@ -41,6 +40,7 @@ from oracles import (
     neighborhood_class_partition,
     partition_key,
     pivot_loop_groups,
+    summarize_naive,
 )
 
 MIXERS = {

@@ -32,7 +32,15 @@ from graphsum.lossy import _edge_weights, _number_keys, _utility
 from graphsum.unionfind import UnionFind
 
 from conftest import random_graphs
-from generators import ba_graph, er_graph, path_graph, spread_graph, star_graph, twin_rich_graph
+from generators import (
+    ba_graph,
+    cycle_graph,
+    er_graph,
+    path_graph,
+    spread_graph,
+    star_graph,
+    twin_rich_graph,
+)
 from oracles import (
     loop_lossy_superedges,
     loop_utility,
@@ -156,19 +164,19 @@ class TestMergePrefix:
     def test_zero_is_singletons(self):
         g = er_graph(20, 0.2, 1)
         forest = two_hop_mst(g, uniform_centrality(g))
-        uf = merge_prefix(g, forest, 0)
-        assert uf.num_sets() == g.n
+        labels = merge_prefix(g, forest, 0)
+        assert len(np.unique(labels)) == g.n
 
     def test_full_prefix_gives_two_hop_components(self):
         g = er_graph(40, 0.1, 2)
         c = uniform_centrality(g)
         forest = two_hop_mst(g, c)
-        uf = merge_prefix(g, forest, len(forest))
+        labels = merge_prefix(g, forest, len(forest))
         full = full_candidate_list(g, c)
         components = UnionFind(g.n)
         for u, v in full.pairs:
             components.union(u, v)
-        assert uf.labels() == components.labels()
+        assert relabel_by_first_appearance(labels).tolist() == components.labels()
 
     def test_prefix_matches_step_simulation(self):
         # unique weights make the restricted full list coincide with the forest
@@ -182,7 +190,8 @@ class TestMergePrefix:
             sim = UnionFind(g.n)
             for u, v in restricted[:t]:
                 sim.union(u, v)
-            assert merge_prefix(g, forest, t).labels() == sim.labels()
+            labels = merge_prefix(g, forest, t)
+            assert relabel_by_first_appearance(labels).tolist() == sim.labels()
 
     def test_out_of_range(self):
         g = path_graph(3)
@@ -190,12 +199,53 @@ class TestMergePrefix:
         with pytest.raises(ValueError):
             merge_prefix(g, forest, len(forest) + 1)
 
+    def test_candidate_node_outside_the_graph(self):
+        g = path_graph(3)
+        listed = MergePairList([(0, 2), (1, 3)], [1.0, 2.0])
+        with pytest.raises(ValueError, match="candidate node 3 out of range 0..2"):
+            merge_prefix(g, listed, 1)
+
+
+class TestPartitionLabelsChecked:
+    """compute_utility and build_superedges_lossy take one set id in
+    0..n-1 per node; an id of n or more would let the superpair keys
+    lo*n + hi of different pairs collide."""
+
+    @pytest.mark.parametrize("build", [compute_utility, build_superedges_lossy])
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            (np.array([0, 0, 1, 1, 2]), "1-d integer array of 6"),  # too short
+            (np.array([0, 0, 1, 1, 2, 2, 2]), "1-d integer array of 6"),  # too long
+            (np.array([[0, 0, 1], [1, 2, 2]]), "1-d integer array of 6"),
+            (np.array([0.0, 0.0, 1.0, 1.0, 2.0, 2.0]), "1-d integer array of 6"),
+            (UnionFind(9), "1-d integer array of 6"),
+            (np.array([0, 0, 1, -1, 2, 2]), "lie in 0..5"),  # a negative id
+            (np.array([0, 0, 1, 1, 6, 6]), "lie in 0..5"),  # id n
+        ],
+        ids=["short", "long", "2-d", "float", "union-find", "negative", "n"],
+    )
+    def test_malformed_labels_raise(self, build, labels, message):
+        g = cycle_graph(6)
+        model = build_weight_model(g, uniform_centrality(g))
+        with pytest.raises(ValueError, match=message):
+            build(g, model, labels)
+
+    def test_any_ids_below_n_name_the_same_partition(self):
+        g = cycle_graph(6)
+        model = build_weight_model(g, degree_centrality(g))
+        labels = np.array([0, 0, 3, 3, 4, 4])
+        for same in (np.array([5, 5, 1, 1, 0, 0]), labels.astype(np.uint8), labels.tolist()):
+            assert compute_utility(g, model, same) == compute_utility(g, model, labels)
+            s = build_superedges_lossy(g, model, same)
+            assert s.membership.tolist() == [0, 0, 1, 1, 2, 2]
+
 
 class TestComputeUtility:
     def test_identity_partition_is_exactly_one(self):
         g = er_graph(30, 0.2, 3)
         model = build_weight_model(g, uniform_centrality(g))
-        assert compute_utility(g, model, UnionFind(g.n)) == 1.0
+        assert compute_utility(g, model, np.arange(g.n)) == 1.0
 
     def test_worked_example_after_four_merges(self, worked_example):
         model = build_weight_model(worked_example, uniform_centrality(worked_example))
@@ -206,7 +256,7 @@ class TestComputeUtility:
         uf.union(1, 7)  # absorb the shared neighbor: two spurious pairs
         uf.union(4, 8)  # absorb the degree-2 node: drops one actual edge
         expected = float(Fraction(505, 574))
-        assert compute_utility(worked_example, model, uf) == pytest.approx(
+        assert compute_utility(worked_example, model, np.array(uf.labels())) == pytest.approx(
             expected, abs=1e-12
         )
 
@@ -217,7 +267,7 @@ class TestComputeUtility:
         uf = UnionFind(g.n)
         for u in range(g.n):
             uf.union(u, rng.randrange(10))  # ten blocks anchored at 0..9
-        ours = compute_utility(g, model, uf)
+        ours = compute_utility(g, model, np.array(uf.labels()))
         oracle = pairwise_utility(g, model, uf.labels())
         assert ours == pytest.approx(oracle, abs=1e-10)
 
@@ -229,10 +279,10 @@ class TestComputeUtility:
         model = build_weight_model(g, uniform_centrality(g))
         uf = UnionFind(g.n)
         uf.union(0, 1)
-        before = compute_utility(g, model, uf)
+        before = compute_utility(g, model, np.array(uf.labels()))
         assert 0.0 <= before <= 1.0
         uf.union(0, 1)  # already merged
-        assert compute_utility(g, model, uf) == before
+        assert compute_utility(g, model, np.array(uf.labels())) == before
 
     def test_monotone_along_forest(self):
         for seed in (0, 1, 2):
@@ -273,7 +323,7 @@ class TestBuildSuperedgesLossy:
     def test_singleton_partition_reproduces_edges(self):
         g = er_graph(25, 0.2, 9)
         model = build_weight_model(g, uniform_centrality(g))
-        s = build_superedges_lossy(g, model, UnionFind(g.n))
+        s = build_superedges_lossy(g, model, np.arange(g.n))
         assert s.kinds is None
         assert s.superedges == set(g.edges())
 
@@ -282,7 +332,7 @@ class TestBuildSuperedgesLossy:
         uf = UnionFind(11)
         for a, b in [(1, 2), (1, 7), (4, 5), (4, 6), (4, 8)]:
             uf.union(a, b)
-        s = build_superedges_lossy(worked_example, model, uf)
+        s = build_superedges_lossy(worked_example, model, np.array(uf.labels()))
         labels = s.membership.tolist()
         left_group, right_group = labels[1], labels[4]
         left_hub, right_hub, orange = labels[0], labels[3], labels[10]
@@ -302,7 +352,7 @@ class TestBuildSuperedgesLossy:
         uf = UnionFind(g.n)
         for u in range(g.n):
             uf.union(u, rng.randrange(8))
-        s = build_superedges_lossy(g, model, uf)
+        s = build_superedges_lossy(g, model, np.array(uf.labels()))
         labels = uf.labels()
         groups: dict[int, list[int]] = {}
         for u, lab in enumerate(labels):
@@ -408,11 +458,11 @@ class TestMstSufficiency:
         c = perturbed_pagerank(g, seed=seed + 100)
         forest = two_hop_mst(g, c)
         full = full_candidate_list(g, c)
-        uf_h = merge_prefix(g, forest, len(forest))
+        final_h = merge_prefix(g, forest, len(forest))
         uf_l = UnionFind(g.n)
         for u, v in full.pairs:
             uf_l.union(u, v)
-        assert uf_h.labels() == uf_l.labels()
+        assert relabel_by_first_appearance(final_h).tolist() == uf_l.labels()
 
     def test_matched_merge_counts_agree(self):
         g = er_graph(50, 0.15, 3)
@@ -469,13 +519,19 @@ class TestMstSufficiency:
             assert (forest.pairs, forest.weights) == kruskal_over_full_list(g, c), seed
 
 
-def assert_matches_loop(g, model, uf):
+def root_labels(uf):
+    """Each node's union-find root as its set id, so the ids (and the
+    superpair keys lo*n + hi) stay as large as the node ids."""
+    return np.array([uf.find(u) for u in range(len(uf))])
+
+
+def assert_matches_loop(g, model, labels):
     """The array pass equals the per-edge loop oracle exactly."""
-    utility = compute_utility(g, model, uf)
-    s = build_superedges_lossy(g, model, uf)
-    assert utility == loop_utility(g, model, uf)  # exact, not approx
-    labels, superedges = loop_lossy_superedges(g, model, uf)
-    assert s.membership.tolist() == labels
+    utility = compute_utility(g, model, labels)
+    s = build_superedges_lossy(g, model, labels)
+    assert utility == loop_utility(g, model, labels)  # exact, not approx
+    membership, superedges = loop_lossy_superedges(g, model, labels)
+    assert s.membership.tolist() == membership
     assert s.superedges == superedges
 
 
@@ -504,7 +560,7 @@ class TestArrayPassMatchesLoop:
                 uf.union(rng.randrange(g.n), rng.randrange(g.n))
                 if compress:
                     uf.find(rng.randrange(g.n))
-            assert_matches_loop(g, model, uf)
+            assert_matches_loop(g, model, root_labels(uf))
 
     def test_chain_parents(self):
         # a parent chain deeper than union by size ever builds
@@ -513,7 +569,7 @@ class TestArrayPassMatchesLoop:
         uf = UnionFind(g.n)
         uf.parent = [0] + list(range(30)) + list(range(31, 40))
         uf.size = [31] + [1] * 39
-        assert_matches_loop(g, model, uf)
+        assert_matches_loop(g, model, root_labels(uf))
 
     def test_isolated_nodes(self):
         g = from_edges(14, [(1, 3), (3, 5), (5, 1), (7, 9), (9, 11), (3, 9)])
@@ -522,7 +578,7 @@ class TestArrayPassMatchesLoop:
             uf = UnionFind(g.n)
             for a, b in pairs:
                 uf.union(a, b)
-            assert_matches_loop(g, model, uf)
+            assert_matches_loop(g, model, root_labels(uf))
 
     def test_pair_keys_beyond_int32(self):
         # lo*n + hi exceeds 2**31 once both supernodes sit above node 46341
@@ -534,7 +590,7 @@ class TestArrayPassMatchesLoop:
         uf = UnionFind(n)
         for _ in range(1500):
             uf.union(rng.randrange(46_000, n), rng.randrange(46_000, n))
-        assert_matches_loop(g, model, uf)
+        assert_matches_loop(g, model, root_labels(uf))
 
 
 class TestNumberKeys:
@@ -584,7 +640,7 @@ def assert_probes_match_replay(g, model, candidates):
         labels = tree.labels(g.n, t)
         assert labels.tolist() == expected, t
         partition = merge_prefix(g, candidates, t)
-        assert relabel_by_first_appearance(labels).tolist() == partition.labels(), t
+        assert partition.tolist() == expected, t
         utility = compute_utility(g, model, partition)
         assert _utility(g, model, labels, weights) == utility, t  # exact, not approx
         assert utility == loop_utility(g, model, partition), t

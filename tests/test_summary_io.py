@@ -16,12 +16,12 @@ from graphsum import (
     save_summary,
     summarize,
     summarize_lossy,
-    summarize_naive,
 )
 from graphsum.errors import UnsupportedSummaryError
 from graphsum.summary import VALID_KINDS, PairSet, _check_kind_lines, read_meta
 
 from generators import ba_graph, er_graph, twin_rich_graph
+from oracles import summarize_naive
 
 
 def summaries_equal(a: Summary, b: Summary) -> bool:
