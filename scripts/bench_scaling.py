@@ -6,10 +6,12 @@ Prints one aligned table. Doubling the edge count at fixed density should
 roughly double the linear passes (summarize, compute_utility) and the
 summary-side Pagerank should touch far fewer units than the original.
 `utility` is the median compute_utility time on a label array that puts
-each node in one of 50 seeded groups, built outside the timer.
+each node in one of 50 seeded groups, built outside the timer; the
+model caches its edge weights on the first call, so later runs reuse them.
 `forest_s` is the median two_hop_mst time. `lossy_s` is summarize_lossy
 at tau 0.8 given that forest; each run gets a fresh copy of it, so the
-time includes building the copy's merge tree but not the forest.
+time includes building the copy's merge tree but neither the forest nor
+the model's edge weights.
 `sum_sp_ms` is the median of 50 seeded summary-side shortest_path_length
 calls on one summary, in milliseconds. `tri_s` is the median
 count_triangles time; each run gets a fresh copy of the summary, so the

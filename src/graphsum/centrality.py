@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -223,8 +224,19 @@ class EdgeWeightModel:
     actual_norm: float
     spurious_weight: float
 
+    @cached_property
+    def edge_weights(self) -> np.ndarray:
+        """C(u, v) of every edge of graph, in canonical edge order (that of
+        graph.edge_arrays), computed on first use; read-only."""
+        u, v = self.graph.edge_arrays
+        scores = self.node_centrality.scores
+        weights = (scores[u] + scores[v]) / self.actual_norm
+        weights.setflags(write=False)
+        return weights
+
     def pair_weight(self, u: int, v: int) -> float:
-        """(C_u + C_v) / Z for an arbitrary node pair (edge or not)."""
+        """(C_u + C_v) / Z for an arbitrary node pair (edge or not); the
+        scalar form of edge_weights."""
         s = self.node_centrality.scores
         return (float(s[u]) + float(s[v])) / self.actual_norm
 

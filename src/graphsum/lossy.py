@@ -15,16 +15,18 @@ in which merge e is a tree node above the two sets it joins. The partition
 after any prefix is a cut of that tree, and pointer jumping over the tree's
 parent array, truncated at the cut, gives every node its set's smallest
 node in a few gathers. That per-node label array is the one partition form:
-every probe and the final prefix (merge_prefix) read it off the tree, and
-compute_utility and build_superedges_lossy take it.
+merge_prefix reads it off the tree, and compute_utility and
+build_superedges_lossy take it. Each probe of the search is one
+merge_prefix and one compute_utility call, and the best passing probe's
+labels give the summary.
 
 A probe's utility, and the superedges of the final summary, come from one
 array pass over the edges: superpairs keyed lo*n + hi and numbered by one
 in-place np.sort of each key packed with its edge index (an argsort where
 the packed key would pass 63 bits, as on graphs of millions of nodes and
 edges), per-pair edge counts and weight sums by np.bincount in canonical
-edge order (the order of Graph.edges()), and the nonzero losses summed by
-math.fsum.
+edge order (the order of Graph.edges()) over the model's cached edge
+weights, and the nonzero losses summed by math.fsum.
 """
 
 from __future__ import annotations
@@ -234,25 +236,26 @@ def _checked_labels(g: Graph, labels: np.ndarray) -> np.ndarray:
 
 
 def _edge_weights(g: Graph, model: EdgeWeightModel) -> np.ndarray:
-    """The normalized weight (C_u + C_v) / Z of every edge, in canonical
-    edge order; the same at every probe of a search."""
-    u, v = g.edge_arrays
-    scores = model.node_centrality.scores
-    return (scores[u] + scores[v]) / model.actual_norm
+    """model.edge_weights, or ValueError unless the model was built on g
+    (the same object, or else an equal graph)."""
+    if g is not model.graph and g != model.graph:
+        raise ValueError("the edge weight model was built on a different graph")
+    return model.edge_weights
 
 
 def _superpair_costs(
-    g: Graph, model: EdgeWeightModel, labels: np.ndarray, weights: np.ndarray
+    g: Graph, model: EdgeWeightModel, labels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per supernode pair (a, b), a <= b, joined by at least one edge, in
     ascending (a, b) order: a, b, the cost of adding the superedge
     (spurious weight) and of dropping it (actual weight). labels are any
-    per-node int64 ids below n; weights are _edge_weights(g, model).
+    per-node int64 ids below n.
 
     The pairs are numbered by one in-place sort of the keys lo*n + hi
     packed with their edge index, or by an argsort where the largest key
     and the largest index need more than 63 bits between them (see
     _number_keys)."""
+    weights = _edge_weights(g, model)
     n = g.n
     u, v = g.edge_arrays
     lu, lv = labels[u], labels[v]
@@ -297,21 +300,10 @@ def _number_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rank, keys[first]
 
 
-def _utility(
-    g: Graph, model: EdgeWeightModel, labels: np.ndarray, weights: np.ndarray
-) -> float:
-    """Utility of the partition the labels name; see compute_utility."""
-    _, _, sedge, nsedge = _superpair_costs(g, model, labels, weights)
-    losses = np.minimum(sedge, nsedge)
-    # losses are >= 0, and exact zeros do not change a correctly rounded sum
-    value = 1.0 - math.fsum(losses[losses != 0].tolist())
-    return min(1.0, max(0.0, value))
-
-
 def compute_utility(g: Graph, model: EdgeWeightModel, labels: np.ndarray) -> float:
     """Utility of the summary induced by the partition, in [0, 1]. labels
     give each node a set id in 0..n-1, as merge_prefix does; anything else
-    raises ValueError.
+    raises ValueError, as does a model built on another graph.
 
     One array pass over E groups the edges by supernode pair and sums, per
     pair, the actual edge count and weight (np.bincount, in canonical edge
@@ -321,7 +313,11 @@ def compute_utility(g: Graph, model: EdgeWeightModel, labels: np.ndarray) -> flo
     The nonzero losses are summed by math.fsum, which is correctly
     rounded, so the result does not depend on how the pairs are numbered.
     """
-    return _utility(g, model, _checked_labels(g, labels), _edge_weights(g, model))
+    _, _, sedge, nsedge = _superpair_costs(g, model, _checked_labels(g, labels))
+    losses = np.minimum(sedge, nsedge)
+    # losses are >= 0, and exact zeros do not change a correctly rounded sum
+    value = 1.0 - math.fsum(losses[losses != 0].tolist())
+    return min(1.0, max(0.0, value))
 
 
 def build_superedges_lossy(g: Graph, model: EdgeWeightModel, labels: np.ndarray) -> Summary:
@@ -330,7 +326,7 @@ def build_superedges_lossy(g: Graph, model: EdgeWeightModel, labels: np.ndarray)
     superedge). Supernodes are numbered by first appearance. No kind tags.
     """
     labels = relabel_by_first_appearance(_checked_labels(g, labels))
-    a, b, sedge, nsedge = _superpair_costs(g, model, labels, _edge_weights(g, model))
+    a, b, sedge, nsedge = _superpair_costs(g, model, labels)
     keep = sedge <= nsedge
     return Summary(labels, PairSet(a[keep], b[keep]))
 
@@ -352,37 +348,28 @@ def summarize_lossy(
     """Largest merge prefix whose utility stays >= tau, found by binary search.
 
     Utility is non-increasing along the sorted forest edges, so the probe
-    at each midpoint decides the half to keep. A probe reads the partition
-    off the candidate list's merge tree (built once per list, see
-    MergeTree) and sums its utility with the edge weights computed once
-    per search; it gives what merge_prefix and compute_utility give, bit
-    for bit. merge_prefix reads the final prefix off the same tree, and
-    compute_utility and build_superedges_lossy derive the result from
-    those labels. An explicit candidate list can replace the computed
-    spanning forest.
+    at each midpoint decides the half to keep. A probe is merge_prefix,
+    which reads the partition off the candidate list's merge tree (built
+    once per list, see MergeTree), then compute_utility over the model's
+    cached edge weights. The longest passing probe's labels and utility
+    are the result's; build_superedges_lossy derives the summary from
+    those labels. Prefix 0 (all singletons) has utility exactly 1.0, so
+    the search always ends on a prefix it probed. An explicit candidate
+    list can replace the computed spanning forest.
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must lie in (0, 1], got {tau}")
     forest = candidates if candidates is not None else two_hop_mst(g, model.node_centrality)
-    best = _largest_prefix(g, model, tau, forest)
-    labels = merge_prefix(g, forest, best)
-    utility = compute_utility(g, model, labels)
-    summary = build_superedges_lossy(g, model, labels)
-    return LossyResult(summary, utility, best, len(forest))
-
-
-def _largest_prefix(g: Graph, model: EdgeWeightModel, tau: float, forest: MergePairList) -> int:
-    """The binary search of summarize_lossy over the merge tree; its
-    per-search arrays are freed before the final prefix is read."""
-    tree = forest.merge_tree
-    weights = _edge_weights(g, model)
     lo, hi = 0, len(forest)
-    best = 0
     while lo <= hi:
         mid = (lo + hi) // 2
-        if _utility(g, model, tree.labels(g.n, mid), weights) >= tau:
-            best = mid
+        labels = merge_prefix(g, forest, mid)
+        utility = compute_utility(g, model, labels)
+        if utility >= tau:
+            best = mid, labels, utility
             lo = mid + 1
         else:
             hi = mid - 1
-    return best
+    prefix, labels, utility = best
+    summary = build_superedges_lossy(g, model, labels)
+    return LossyResult(summary, utility, prefix, len(forest))

@@ -248,8 +248,7 @@ def save_summary(s: Summary, outdir: str | Path, meta: dict[str, object] | None 
     a, b = s.superedges.pairs  # ascending (a, b), as sorted() orders the tuples
     graphmod.write_int_pairs(out / "superedges.txt", a.tolist(), b.tolist())
     if s.is_lossless:
-        with open(out / "kinds.txt", "w", encoding="ascii") as fh:
-            fh.write("".join(f"{sid} {kind}\n" for sid, kind in enumerate(s.kinds)))
+        (out / "kinds.txt").write_bytes(_kinds_text(s.kinds))
     if meta is not None:
         write_meta(meta, out / "meta.txt")
 
@@ -307,35 +306,20 @@ def _check_count(path: Path, meta: dict[str, str], key: str, count: int, what: s
         raise _corrupt(path, f"{count} {what} listed, meta.txt records {key}={recorded}")
 
 
-# each kind word ending a kinds.txt line, and the same with its index in VALID_KINDS
-_KIND_INDEX = tuple(
-    (f" {kind}\n".encode(), f" {index}\n".encode()) for index, kind in enumerate(VALID_KINDS)
-)
+def _kinds_text(kinds: list[str]) -> bytes:
+    """kinds.txt as save_summary writes it: one "sid kind" line per supernode."""
+    return "".join(f"{sid} {kind}\n" for sid, kind in enumerate(kinds)).encode("ascii")
 
 
 def _check_kinds(path: Path, kinds: list[str]) -> None:
     """kinds.txt must tag each supernode once, with its structural kind.
 
-    The tags are parsed and checked as arrays, each kind word read as its
-    index in VALID_KINDS. A file that fails any check (or that the array
-    parser rejects) is read again line by line, which names the first line
-    at fault.
+    The text save_summary writes passes at once; any other file is read
+    line by line, which accepts another valid layout and names the first
+    line at fault.
     """
-    data = path.read_bytes()
-    tagged = sum(data.count(word) for word, _ in _KIND_INDEX)
-    for word, index in _KIND_INDEX:
-        data = data.replace(word, index)
-    tags = graphmod.parse_int_pairs(data)
-    # every line's kind was a word exactly when each line took one replacement
-    if tags is not None and len(tags) == tagged == len(kinds):
-        sid, kind = tags[:, 0], tags[:, 1]
-        if (
-            np.all(sid < len(kinds))
-            and np.all(np.bincount(sid, minlength=len(kinds)) == 1)
-            and np.array_equal(np.asarray(VALID_KINDS)[kind], np.asarray(kinds, dtype=str)[sid])
-        ):
-            return
-    _check_kind_lines(path, kinds)
+    if path.read_bytes() != _kinds_text(kinds):
+        _check_kind_lines(path, kinds)
 
 
 def _check_kind_lines(path: Path, kinds: list[str]) -> None:

@@ -83,3 +83,14 @@ def test_traced_operation_emits_the_spans_layers_read(traced, op):
         assert named, f"{op}: no {name} span"
         for key in keys:
             assert all(key in span["counts"] for span in named), f"{op}: {name} lacks {key}"
+
+
+def test_each_lossy_probe_is_one_merge_prefix_and_one_compute_utility_span(traced):
+    # lossy.probes counts the compute_utility spans and lossy.merge_prefix_s /
+    # lossy.compute_utility_s take their medians: one span each per probe
+    spans = traced["lossy"]
+    (search,) = [i for i, span in enumerate(spans) if span["name"] == "lossy.summarize_lossy"]
+    reads = [span for span in spans if span["name"] == "lossy.merge_prefix"]
+    sums = [span for span in spans if span["name"] == "lossy.compute_utility"]
+    assert len(reads) == len(sums) > 1
+    assert all(span["parent"] == search for span in reads + sums)

@@ -28,7 +28,7 @@ from graphsum import (
 )
 from graphsum import lossy
 from graphsum.graph import relabel_by_first_appearance
-from graphsum.lossy import _edge_weights, _number_keys, _utility
+from graphsum.lossy import _number_keys
 from graphsum.unionfind import UnionFind
 
 from conftest import random_graphs
@@ -239,6 +239,38 @@ class TestPartitionLabelsChecked:
             assert compute_utility(g, model, same) == compute_utility(g, model, labels)
             s = build_superedges_lossy(g, model, same)
             assert s.membership.tolist() == [0, 0, 1, 1, 2, 2]
+
+
+class TestModelGraphGuard:
+    """The edge weight model must be built on the graph it is used with:
+    the same object, or an equal graph."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g, model: compute_utility(g, model, np.arange(g.n)),
+            lambda g, model: build_superedges_lossy(g, model, np.arange(g.n)),
+            lambda g, model: summarize_lossy(g, model, 0.8),
+        ],
+        ids=["compute_utility", "build_superedges_lossy", "summarize_lossy"],
+    )
+    def test_model_of_another_graph_raises(self, call):
+        g, other = cycle_graph(6), path_graph(6)
+        model = build_weight_model(other, uniform_centrality(other))
+        with pytest.raises(ValueError, match="built on a different graph"):
+            call(g, model)
+
+    def test_equal_graph_is_accepted(self):
+        g = er_graph(40, 0.15, 5)
+        equal = from_edges(g.n, list(g.edges()))
+        assert equal is not g and equal == g
+        model = build_weight_model(g, pagerank(g))
+        labels = merge_prefix(g, two_hop_mst(g, model.node_centrality), 10)
+        assert compute_utility(equal, model, labels) == compute_utility(g, model, labels)
+        ours, theirs = summarize_lossy(equal, model, 0.8), summarize_lossy(g, model, 0.8)
+        assert (ours.prefix_length, ours.utility) == (theirs.prefix_length, theirs.utility)
+        assert ours.summary.membership.tolist() == theirs.summary.membership.tolist()
+        assert ours.summary.superedges == theirs.summary.superedges
 
 
 class TestComputeUtility:
@@ -549,28 +581,6 @@ class TestArrayPassMatchesLoop:
             for t in range(len(forest) + 1):
                 assert_matches_loop(g, model, merge_prefix(g, forest, t))
 
-    @pytest.mark.parametrize("compress", [False, True], ids=["deep", "compressed"])
-    def test_unions_in_random_order(self, compress):
-        for seed in range(10):
-            rng = random.Random(seed)
-            g = er_graph(50, 0.12, seed)
-            model = build_weight_model(g, pagerank(g))
-            uf = UnionFind(g.n)
-            for _ in range(rng.randint(5, 60)):
-                uf.union(rng.randrange(g.n), rng.randrange(g.n))
-                if compress:
-                    uf.find(rng.randrange(g.n))
-            assert_matches_loop(g, model, root_labels(uf))
-
-    def test_chain_parents(self):
-        # a parent chain deeper than union by size ever builds
-        g = er_graph(40, 0.15, 5)
-        model = build_weight_model(g, degree_centrality(g))
-        uf = UnionFind(g.n)
-        uf.parent = [0] + list(range(30)) + list(range(31, 40))
-        uf.size = [31] + [1] * 39
-        assert_matches_loop(g, model, root_labels(uf))
-
     def test_isolated_nodes(self):
         g = from_edges(14, [(1, 3), (3, 5), (5, 1), (7, 9), (9, 11), (3, 9)])
         model = build_weight_model(g, uniform_centrality(g))
@@ -631,19 +641,16 @@ class TestNumberKeys:
 
 
 def assert_probes_match_replay(g, model, candidates):
-    """At every prefix 0..len, the merge-tree probe of summarize_lossy
-    gives the replayed partition (each node labelled by its smallest
-    set-mate) and exactly the utility of merge_prefix + compute_utility."""
-    tree, weights = candidates.merge_tree, _edge_weights(g, model)
+    """At every prefix 0..len, the probe of summarize_lossy (merge_prefix,
+    read off the merge tree) gives the replayed partition (each node
+    labelled by its smallest set-mate), and compute_utility gives exactly
+    the loop oracle's utility of it."""
     replayed = replayed_prefix_labels(g.n, candidates.pairs)
     for t, expected in enumerate(replayed):
-        labels = tree.labels(g.n, t)
-        assert labels.tolist() == expected, t
         partition = merge_prefix(g, candidates, t)
         assert partition.tolist() == expected, t
         utility = compute_utility(g, model, partition)
-        assert _utility(g, model, labels, weights) == utility, t  # exact, not approx
-        assert utility == loop_utility(g, model, partition), t
+        assert utility == loop_utility(g, model, partition), t  # exact, not approx
     assert t == len(candidates)
 
 
@@ -683,6 +690,34 @@ class TestMergeTreeProbes:
         weights.insert(2, weights[2])
         assert_probes_match_replay(g, model, MergePairList(pairs, weights))
 
+    def test_deep_chain_list(self):
+        # the pairs (0, 1), (1, 2), ... in order build a caterpillar: every
+        # merge sits on the one before, so leaf 0 is 30 tree nodes deep and
+        # _roots runs many pointer-jumping rounds
+        g = er_graph(40, 0.15, 5)
+        model = build_weight_model(g, degree_centrality(g))
+        chain = MergePairList([(u, u + 1) for u in range(30)], [1.0] * 30)
+        tree = chain.merge_tree
+        depth, node = 0, 0
+        while tree.parent[node] != node:
+            depth, node = depth + 1, tree.parent[node]
+        assert depth == 30
+        assert_probes_match_replay(g, model, chain)
+        assert_matches_loop(g, model, merge_prefix(g, chain, 30))
+
+    def test_random_lists_with_redundant_pairs(self):
+        # random pairs join sets in random order; many close a cycle or
+        # repeat a pair, and add no tree node
+        for seed in range(10):
+            rng = random.Random(seed)
+            g = er_graph(50, 0.12, seed)
+            model = build_weight_model(g, pagerank(g))
+            size = rng.randint(5, 60)
+            pairs = [(rng.randrange(g.n), rng.randrange(g.n)) for _ in range(size)]
+            candidates = MergePairList(pairs, sorted(rng.random() for _ in range(size)))
+            assert_probes_match_replay(g, model, candidates)
+            assert_matches_loop(g, model, merge_prefix(g, candidates, size))
+
     def test_nodes_beyond_the_list_stay_singletons(self):
         # the tree's leaves stop at the largest listed node, 7
         g = from_edges(10, [(0, 1), (1, 2), (2, 3), (3, 7), (7, 8), (8, 9)])
@@ -714,17 +749,38 @@ class TestMergeTreeProbes:
             assert shared.summary.membership.tolist() == fresh.summary.membership.tolist()
             assert shared.summary.superedges == fresh.summary.superedges
 
-    def test_search_replays_only_the_final_prefix(self, monkeypatch):
+    def test_probes_go_through_the_public_functions(self, monkeypatch):
         g = er_graph(80, 0.15, 8)
         model = build_weight_model(g, pagerank(g))
+        forest = two_hop_mst(g, model.node_centrality)
         calls = []
 
-        def counted(name):
+        def recorded(name):
             real = getattr(lossy, name)
-            return lambda *args: calls.append(name) or real(*args)
 
-        for name in ("merge_prefix", "compute_utility"):
-            monkeypatch.setattr(lossy, name, counted(name))
-        res = summarize_lossy(g, model, 0.8)
-        assert calls == ["merge_prefix", "compute_utility"]
-        assert res.prefix_length == 15
+            def call(*args):
+                result = real(*args)
+                calls.append((name, args, result))
+                return result
+
+            return call
+
+        for name in ("merge_prefix", "compute_utility", "build_superedges_lossy"):
+            monkeypatch.setattr(lossy, name, recorded(name))
+        res = summarize_lossy(g, model, 0.8, candidates=forest)
+        *probes, (last, (_, _, final), summary) = calls
+        assert last == "build_superedges_lossy"
+        names = [name for name, _, _ in probes]
+        assert names == ["merge_prefix", "compute_utility"] * (len(probes) // 2)
+        reads, sums = probes[::2], probes[1::2]
+        prefixes = [args[2] for _, args, _ in reads]
+        assert len(set(prefixes)) == len(prefixes)  # no prefix probed twice
+        assert 1 < len(prefixes) <= math.floor(math.log2(len(forest) + 1)) + 1
+        for (_, _, labels), (_, (_, _, probed), _) in zip(reads, sums):
+            assert probed is labels  # each utility is of the partition just read
+        passing = [i for i, (_, _, utility) in enumerate(sums) if utility >= 0.8]
+        best = max(passing, key=prefixes.__getitem__)
+        assert res.prefix_length == prefixes[best] == 15
+        assert res.utility == sums[best][2]
+        assert final is reads[best][2]  # the summary is built from that probe's labels
+        assert res.summary is summary

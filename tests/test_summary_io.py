@@ -185,9 +185,9 @@ class TestPairSet:
 
 
 class TestKindsFile:
-    """kinds.txt is checked as arrays; any file that check refuses is read
-    again line by line, so what loads and every message stay as the line
-    pass has them."""
+    """kinds.txt passes at once when it is the text save_summary writes;
+    any other file is read line by line, so what loads and every message
+    stay as the line pass has them."""
 
     @pytest.fixture
     def saved(self, tmp_path):
