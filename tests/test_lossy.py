@@ -581,6 +581,21 @@ class TestArrayPassMatchesLoop:
             for t in range(len(forest) + 1):
                 assert_matches_loop(g, model, merge_prefix(g, forest, t))
 
+    @pytest.mark.parametrize("compress", [False, True], ids=["deep", "compressed"])
+    def test_unions_in_random_order(self, compress):
+        # the labels are union-find roots, not dense ids: any partition
+        # labelling goes through compute_utility and build_superedges_lossy
+        for seed in range(10):
+            rng = random.Random(seed)
+            g = er_graph(50, 0.12, seed)
+            model = build_weight_model(g, pagerank(g))
+            uf = UnionFind(g.n)
+            for _ in range(rng.randint(5, 60)):
+                uf.union(rng.randrange(g.n), rng.randrange(g.n))
+                if compress:
+                    uf.find(rng.randrange(g.n))
+            assert_matches_loop(g, model, root_labels(uf))
+
     def test_isolated_nodes(self):
         g = from_edges(14, [(1, 3), (3, 5), (5, 1), (7, 9), (9, 11), (3, 9)])
         model = build_weight_model(g, uniform_centrality(g))
