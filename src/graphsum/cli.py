@@ -119,7 +119,7 @@ def cmd_lossless(args) -> int:
         "avg_degree": _fmt(2.0 * g.m / g.n) if g.n else _fmt(0.0),
         "supernodes": s.num_supernodes,
         "superedges": s.num_superedges,
-        "rn": _fmt(evaluate.reduction_in_nodes(s)) if g.n else _fmt(0.0),
+        "rn": _fmt(evaluate.reduction_in_nodes(s)),
         "seed": args.seed,
     }
     return _write_summary(args, loaded, s, meta, SUMMARY_STATS, t0)

@@ -13,10 +13,9 @@ from .summary import DEFAULT_RECONSTRUCT_CAP, Summary, reconstruct
 
 
 def reduction_in_nodes(s: Summary) -> float:
-    """(n - number of supernodes) / n; 0 for the identity summary."""
-    if s.n == 0:
-        raise ValueError("reduction undefined for an empty summary")
-    return (s.n - s.num_supernodes) / s.n
+    """(n - number of supernodes) / n; 0 for the identity summary, the
+    empty one included."""
+    return (s.n - s.num_supernodes) / s.n if s.n else 0.0
 
 
 @dataclass(frozen=True)

@@ -253,9 +253,8 @@ def load_edge_list(path: str | Path) -> LoadResult:
     if pairs is None:
         return _load_edge_lines(path)
     ids = pairs.reshape(-1)
-    compact = relabel_by_first_appearance(ids)
-    original_ids = np.empty(int(compact.max(initial=-1)) + 1, dtype=np.int64)
-    original_ids[compact] = ids
+    compact, starts = _first_appearance(ids)
+    original_ids = ids[starts]
     u, v = compact[0::2], compact[1::2]
     loop = u == v
     graph = _simple_graph(len(original_ids), u[~loop], v[~loop])
@@ -267,10 +266,51 @@ def load_edge_list(path: str | Path) -> LoadResult:
 def relabel_by_first_appearance(labels: np.ndarray) -> np.ndarray:
     """Per-node labels renumbered 0..k-1 in order of first appearance over
     nodes 0..n-1; nodes keep sharing a label exactly when they shared one."""
-    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    dense = np.empty(len(first), dtype=np.int64)
-    dense[np.argsort(first)] = np.arange(len(first))
-    return dense[inverse.reshape(-1)]
+    return _first_appearance(labels)[0]
+
+
+def _first_appearance(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """relabel_by_first_appearance(labels), and each new label's first node."""
+    rank, _, first = number_keys(labels)
+    dense, starts, _ = number_keys(first)  # first positions are distinct
+    return dense[rank], starts
+
+
+def stable_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.argsort(keys, kind="stable") for integer keys, and the keys in
+    that order. keys is never written to, so it may be read-only.
+
+    One in-place np.sort of a copy packed as key << s | position, s the
+    bit length of the largest position, gives the order by a mask and the
+    sorted keys by a shift. Negative keys, or keys the positions would push
+    past 63 bits (such as 64-bit hashes), take the stable argsort."""
+    shift = (len(keys) - 1).bit_length()
+    if keys.min(initial=0) < 0 or int(keys.max(initial=0)).bit_length() + shift > 63:
+        order = np.argsort(keys, kind="stable")
+        return order, keys[order]
+    packed = np.left_shift(keys, shift, dtype=np.int64)  # a new array, used up by the sort
+    packed |= np.arange(len(packed))
+    packed.sort()
+    order = packed & ((1 << shift) - 1)
+    packed >>= shift
+    return order, packed
+
+
+def number_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per key, the rank of its value among the distinct values; those values
+    ascending; and each value's first position: np.unique(keys,
+    return_index=True, return_inverse=True) reordered, off one stable_order."""
+    order, ordered = stable_order(keys)
+    first = np.empty(len(keys), dtype=bool)  # each value's first key in sorted order
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    at = np.flatnonzero(first)
+    distinct, starts = ordered[at], order[at]
+    ids = np.cumsum(first, out=ordered)  # ordered is stable_order's own array, now spent
+    ids -= 1
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[order] = ids
+    return rank, distinct, starts
 
 
 def _load_edge_lines(path: str | Path) -> LoadResult:

@@ -23,7 +23,8 @@ import itertools
 
 import numpy as np
 
-from .graph import Graph, distinct_pair_keys, relabel_by_first_appearance
+from .graph import Graph, distinct_pair_keys, number_keys, stable_order
+from .graph import relabel_by_first_appearance
 from .summary import KIND_CLIQUE, KIND_INDEPENDENT_SET, PairSet, Summary
 
 DEFAULT_SEED = 42
@@ -80,14 +81,13 @@ def candidate_supernodes(
 def _buckets(hashes: np.ndarray) -> dict[int, list[int]]:
     """{hash: nodes ascending} for each hash shared by two or more nodes,
     in the order of each bucket's smallest node."""
-    order = np.argsort(hashes, kind="stable")
-    ordered = hashes[order]
+    order, ordered = stable_order(hashes)
     new = np.ones(len(order), dtype=bool)
     new[1:] = ordered[1:] != ordered[:-1]
     starts = np.flatnonzero(new)
     sizes = np.diff(starts, append=len(order))
     starts, sizes = starts[sizes >= 2], sizes[sizes >= 2]
-    by_first = np.argsort(order[starts])
+    by_first, _ = stable_order(order[starts])
     starts, sizes = starts[by_first], sizes[by_first]
     flat = order.tolist()
     return {
@@ -96,20 +96,14 @@ def _buckets(hashes: np.ndarray) -> dict[int, list[int]]:
     }
 
 
-def filter_supernodes(
-    g: Graph,
-    buckets: dict[int, list[int]],
-    kind: str,
-    skip: set[int] | None = None,
-) -> list[list[int]]:
+def filter_supernodes(g: Graph, buckets: dict[int, list[int]], kind: str) -> list[list[int]]:
     """Exact-match each bucket into true supernodes of size >= 2.
 
     The minimum-id node u left in the bucket is the pivot, and every other
     node left whose exact (closed) neighborhood matches u's joins its group;
     the groups do not depend on the bucket's order. Nodes left alone fall
-    out and become singletons later. `skip` drops nodes already claimed by
-    an earlier filtering pass. Groups come bucket by bucket, in the order of
-    their smallest node, each ascending.
+    out and become singletons later. Groups come bucket by bucket, in the
+    order of their smallest node, each ascending.
 
     All buckets are split at once, in rounds: each node carries a group
     label, at first its bucket, and one gathered comparison of neighbor
@@ -119,39 +113,33 @@ def filter_supernodes(
     """
     if kind not in (KIND_CLIQUE, KIND_INDEPENDENT_SET):
         raise ValueError(f"unknown filter kind {kind!r}")
-    nodes, first = _pending(buckets, skip)
+    nodes, first = _pending(buckets)
     flat, ends = _neighbor_rows(g, nodes, kind == KIND_CLIQUE)
     group = np.cumsum(first) - 1
     while True:
         # a group's first position holds its smallest node: _pending lists
         # each bucket ascending
-        _, pivot, group = np.unique(group, return_index=True, return_inverse=True)
+        group, _, pivot = number_keys(group)
         differ = _rows_differ(flat, ends, pivot[group])
         if not differ.any():
             break
         group = 2 * group + differ
     grouped = np.bincount(group)[group] >= 2
     nodes, at = nodes[grouped], pivot[group][grouped]
-    order = np.argsort(at, kind="stable")
-    nodes, at = nodes[order].tolist(), at[order]
+    order, at = stable_order(at)
+    nodes = nodes[order].tolist()
     starts = np.flatnonzero(np.diff(at, prepend=-1) != 0).tolist()
     return [nodes[lo:hi] for lo, hi in zip(starts, [*starts[1:], len(nodes)])]
 
 
-def _pending(buckets: dict[int, list[int]], skip: set[int] | None) -> tuple[np.ndarray, np.ndarray]:
-    """The nodes of every bucket with two or more nodes outside skip, bucket
-    by bucket, each ascending, and a mask of each bucket's first node."""
-    sizes = [len(bucket) for bucket in buckets.values()]
-    nodes = np.fromiter(itertools.chain.from_iterable(buckets.values()), np.int64, sum(sizes))
+def _pending(buckets: dict[int, list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes of every bucket with two or more nodes, bucket by bucket,
+    each ascending, and a mask of each bucket's first node."""
+    kept = [bucket for bucket in buckets.values() if len(bucket) >= 2]
+    sizes = [len(bucket) for bucket in kept]
+    nodes = np.fromiter(itertools.chain.from_iterable(kept), np.int64, sum(sizes))
     bucket = np.repeat(np.arange(len(sizes)), sizes)
-    if skip:
-        left = ~np.isin(nodes, np.fromiter(skip, np.int64, len(skip)))
-        nodes, bucket = nodes[left], bucket[left]
-    order = np.lexsort((nodes, bucket))
-    nodes, bucket = nodes[order], bucket[order]
-    many = np.bincount(bucket, minlength=len(sizes))[bucket] >= 2
-    nodes, bucket = nodes[many], bucket[many]
-    return nodes, np.diff(bucket, prepend=-1) != 0
+    return nodes[np.lexsort((nodes, bucket))], np.diff(bucket, prepend=-1) != 0
 
 
 def _rows_differ(flat: np.ndarray, ends: np.ndarray, pivot: np.ndarray) -> np.ndarray:
@@ -194,11 +182,12 @@ def summarize(g: Graph, seed: int = DEFAULT_SEED) -> Summary:
     """Scalable lossless summarizer: hash, filter, mop up, build superedges.
 
     O(E log E) time (sorts) and O(E) working space. The partition is the
-    optimal one whatever the seed; only bucket layout depends on it.
+    optimal one whatever the seed; only bucket layout depends on it. The
+    two filter passes give disjoint groups: no node u has both a true twin
+    v and a false twin w, as v in N(u) = N(w) puts w in N[v] = N[u].
     """
     map_clique, map_is = candidate_supernodes(g, seed=seed)
     clique_groups = filter_supernodes(g, map_clique, KIND_CLIQUE)
-    claimed = {v for grp in clique_groups for v in grp}
-    is_groups = filter_supernodes(g, map_is, KIND_INDEPENDENT_SET, skip=claimed)
+    is_groups = filter_supernodes(g, map_is, KIND_INDEPENDENT_SET)
     return _assemble(g, clique_groups, is_groups)
 

@@ -21,8 +21,9 @@ merge_prefix and one compute_utility call, and the best passing probe's
 labels give the summary.
 
 A probe's utility, and the superedges of the final summary, come from one
-array pass over the edges: superpairs keyed lo*n + hi and numbered by one
-in-place np.sort of each key packed with its edge index (an argsort where
+array pass over the edges: superpairs keyed lo*n + hi and numbered by
+graph.number_keys, the library's one key-numbering kernel (one in-place
+np.sort of each key packed with its edge index, or a stable argsort where
 the packed key would pass 63 bits, as on graphs of millions of nodes and
 edges), per-pair edge counts and weight sums by np.bincount in canonical
 edge order (the order of Graph.edges()) over the model's cached edge
@@ -39,7 +40,7 @@ import numpy as np
 
 from .centrality import EdgeWeightModel, NodeCentrality
 from .errors import CapExceededError
-from .graph import Graph, distinct_pair_keys, relabel_by_first_appearance
+from .graph import Graph, distinct_pair_keys, number_keys, relabel_by_first_appearance
 from .summary import PairSet, Summary
 
 DEFAULT_PAIR_CAP = 5_000_000
@@ -251,17 +252,14 @@ def _superpair_costs(
     (spurious weight) and of dropping it (actual weight). labels are any
     per-node int64 ids below n.
 
-    The pairs are numbered by one in-place sort of the keys lo*n + hi
-    packed with their edge index, or by an argsort where the largest key
-    and the largest index need more than 63 bits between them (see
-    _number_keys)."""
+    The pairs are numbered by graph.number_keys over the keys lo*n + hi."""
     weights = _edge_weights(g, model)
     n = g.n
     u, v = g.edge_arrays
     lu, lv = labels[u], labels[v]
     keys = np.minimum(lu, lv) * n + np.maximum(lu, lv)
     del lu, lv  # m-sized: freed before the sort adds its own
-    pair, distinct = _number_keys(keys)
+    pair, distinct, _ = number_keys(keys)
     # bincount adds each pair's weights in canonical edge order
     count = np.bincount(pair)
     wsum = np.bincount(pair, weights=weights)
@@ -269,35 +267,6 @@ def _superpair_costs(
     size = np.bincount(labels)
     possible = np.where(a == b, size[a] * (size[a] - 1) // 2, size[a] * size[b])
     return a, b, (possible - count) * model.spurious_weight, wsum
-
-
-def _number_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per key, the rank of its value among the distinct values, and those
-    values ascending: np.unique(keys, return_inverse=True) reversed.
-    keys (int64, >= 0) may be overwritten.
-
-    One in-place np.sort of key << s | index, s the bit length of the
-    largest index, gives the sorted keys (by a shift) and the order that
-    sorts them (by a mask). Where the packed key would pass 63 bits, an
-    argsort and a gather give the same two arrays."""
-    shift = (len(keys) - 1).bit_length()
-    if int(keys.max(initial=0)).bit_length() + shift <= 63:
-        keys <<= shift
-        keys |= np.arange(len(keys))
-        keys.sort()
-        order = keys & ((1 << shift) - 1)
-        keys >>= shift
-    else:
-        order = np.argsort(keys)
-        keys = keys[order]
-    first = np.empty(len(keys), dtype=bool)  # each value's first key in sorted order
-    first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    ids = np.cumsum(first)
-    ids -= 1
-    rank = np.empty_like(ids)
-    rank[order] = ids
-    return rank, keys[first]
 
 
 def compute_utility(g: Graph, model: EdgeWeightModel, labels: np.ndarray) -> float:

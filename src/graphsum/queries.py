@@ -29,7 +29,7 @@ import numpy as np
 
 from .centrality import DEFAULT_DAMPING, DEFAULT_MAX_ITER, DEFAULT_TOL, pagerank_iteration
 from .errors import UnsupportedSummaryError
-from .graph import Graph
+from .graph import Graph, stable_order
 from .summary import Summary
 
 
@@ -66,7 +66,7 @@ def _super_triangles(
     edge's wedges (out-degrees are at most sqrt(2m)), so memory stays O(m).
     """
     k = g.n
-    order = np.lexsort((np.arange(k), g.degrees))
+    order, _ = stable_order(g.degrees)
     rank = np.empty(k, dtype=np.int64)
     rank[order] = np.arange(k)
     lo, hi = rank[g.sources], rank[g.targets]
@@ -215,7 +215,9 @@ def shortest_path_length(s: Summary, u: int, v: int) -> float:
         depth += 1
         reached, _ = sg.rows(frontier)
         reached = reached[~seen[reached]]
-        reached.sort()  # sort and mask: a flag-less np.unique hashes, far slower in numpy 2.4
+        # distinct ids only, by a sort and a mask: graph.number_keys would add
+        # ranks the BFS never reads, and a flag-less np.unique hashes (slow)
+        reached.sort()
         first = np.ones(reached.size, dtype=bool)
         first[1:] = reached[1:] != reached[:-1]
         frontier = reached[first]

@@ -152,7 +152,7 @@ class Summary:
     @cached_property
     def supernodes(self) -> list[list[int]]:
         """Member lists per supernode id, each ascending."""
-        flat = np.argsort(self.membership, kind="stable").tolist()
+        flat = graphmod.stable_order(self.membership)[0].tolist()
         ends = np.cumsum(self.sizes).tolist()
         return [flat[end - size : end] for end, size in zip(ends, self.sizes.tolist())]
 
@@ -223,7 +223,7 @@ def reconstruct(s: Summary, max_edges: int = DEFAULT_RECONSTRUCT_CAP) -> Graph:
         raise CapExceededError(
             f"reconstruction would materialize {implied} edges (cap {max_edges})"
         )
-    members = np.argsort(s.membership, kind="stable")  # grouped by supernode, ascending
+    members, _ = graphmod.stable_order(s.membership)  # grouped by supernode, ascending
     first = np.cumsum(s.sizes) - s.sizes  # where each supernode's members start
     a, b = s.superedges.pairs
     slots = s.sizes[a] * s.sizes[b]

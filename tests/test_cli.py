@@ -75,6 +75,16 @@ class TestLossless:
         expected = reduction_in_nodes(summarize(g))
         assert float(read_meta(out / "meta.txt")["rn"]) == expected
 
+    def test_empty_edge_list_rn_agrees_with_eval(self, tmp_path, capsys):
+        path = tmp_path / "empty.txt"
+        path.write_text("")
+        out = tmp_path / "sum"
+        assert main(["lossless", "--input", str(path), "--out", str(out)]) == 0
+        assert "rn=0.0" in capsys.readouterr().out
+        assert read_meta(out / "meta.txt")["rn"] == "0.0"
+        assert main(["eval", "--summary", str(out), "--metric", "rn"]) == 0
+        assert capsys.readouterr().out == "rn 0.0\n"
+
     def test_missing_input_is_internal_error(self, tmp_path):
         rc = main(
             ["lossless", "--input", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "o")]

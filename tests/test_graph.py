@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 
 from graphsum import EdgeListParseError, from_edges, load_edge_list, write_edge_list
 from graphsum import graph as graph_module
-from graphsum.graph import Graph, _load_edge_lines, parse_int_pairs
+from graphsum.graph import (
+    Graph,
+    _load_edge_lines,
+    number_keys,
+    parse_int_pairs,
+    relabel_by_first_appearance,
+    stable_order,
+)
 
 from conftest import random_graphs
 from generators import er_graph, path_graph, spread_graph, star_graph, twin_rich_graph
@@ -386,6 +393,103 @@ class TestRowViews:
         out = g.row_reduce(ufunc, values, empty)
         assert out.dtype == dtype
         assert out.tolist() == loop_row_reduce(g, ufunc, values, empty)
+
+
+def kernel_against_numpy(monkeypatch, keys: np.ndarray) -> bool:
+    """Check stable_order and number_keys on keys against np.argsort(kind=
+    "stable") and np.unique(return_index, return_inverse), and that keys
+    are left as they were; return whether the kernel fell back to argsort."""
+    before = keys.copy()
+    stable = np.argsort(keys, kind="stable")
+    values, index, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    argsort, argsorted = np.argsort, []
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: argsorted.append(1) or argsort(*a, **k))
+    order, ordered = stable_order(keys)
+    rank, distinct, first = number_keys(keys)
+    monkeypatch.undo()
+    assert order.tolist() == stable.tolist()
+    assert ordered.tolist() == keys[stable].tolist()
+    assert rank.tolist() == inverse.tolist()
+    assert distinct.tolist() == values.tolist()
+    assert first.tolist() == index.tolist()
+    assert keys.dtype == before.dtype and np.array_equal(keys, before)
+    return bool(argsorted)
+
+
+class TestKeyKernel:
+    """The one key-numbering kernel of the library against numpy: packed
+    where every key and position fit in 63 bits, argsort otherwise."""
+
+    @pytest.mark.parametrize("length", [0, 1, 2, 7, 300])
+    @pytest.mark.parametrize("distinct", [1, 3, 1000])
+    def test_ties(self, monkeypatch, length, distinct):
+        keys = np.random.default_rng(length).integers(0, distinct, size=length)
+        assert not kernel_against_numpy(monkeypatch, keys)
+
+    @pytest.mark.parametrize("length", [3, 4, 5, 9, 17])
+    def test_both_sides_of_63_bits(self, monkeypatch, length):
+        # the packed key takes the largest key's bits plus the largest position's
+        shift = (length - 1).bit_length()
+        rng = np.random.default_rng(length)
+        for bits, fallback in ((63 - shift, False), (64 - shift, True)):
+            top = 2**bits - 1
+            keys = top - rng.integers(0, 3, size=length)
+            assert kernel_against_numpy(monkeypatch, keys) == fallback, bits
+
+    @pytest.mark.parametrize("length", [3, 8, 100])
+    def test_keys_near_2_62(self, monkeypatch, length):
+        keys = 2**62 + np.random.default_rng(length).integers(-2, 2, size=length)
+        assert kernel_against_numpy(monkeypatch, keys)
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            np.array([5, -1, 5, 0, -1, 3], dtype=np.int64),  # negative: argsort
+            np.array([2**64 - 1, 2**63, 7, 2**64 - 1, 7], dtype=np.uint64),  # hashes
+        ],
+    )
+    def test_keys_that_cannot_pack(self, monkeypatch, keys):
+        assert kernel_against_numpy(monkeypatch, keys)
+
+    @pytest.mark.parametrize("top", [10, 2**62])
+    def test_read_only_keys(self, monkeypatch, top):
+        keys = np.random.default_rng(3).integers(0, top, size=50)
+        keys.setflags(write=False)
+        assert kernel_against_numpy(monkeypatch, keys) == (top > 10)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(-3, 40), max_size=60))
+    def test_relabel_by_first_appearance(self, values):
+        labels = np.array(values, dtype=np.int64)
+        labels.setflags(write=False)
+        seen: dict[int, int] = {}
+        expected = [seen.setdefault(x, len(seen)) for x in values]
+        assert relabel_by_first_appearance(labels).tolist() == expected
+        assert labels.tolist() == values
+
+
+def grouping_calls(source: str) -> list[int]:
+    """The lines of each call of a numpy unique* function in source."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr.startswith("unique")
+    ]
+
+
+def test_no_module_calls_np_unique():
+    # integer keys are grouped by graph.stable_order and graph.number_keys;
+    # np.unique sorts again, or hashes when called without flags
+    assert grouping_calls("np.unique(x, return_index=True)") == [1]  # the walk finds one
+    package = Path(graph_module.__file__).parent
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(package.glob("*.py"))
+        for line in grouping_calls(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
 
 
 def csr_layout_reads(path: Path) -> list[str]:

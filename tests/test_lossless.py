@@ -151,8 +151,7 @@ class TestCandidates:
         map_clique, map_is = candidate_supernodes(g)
         assert len(map_clique) == 1 and len(map_is) == 1
         clique_groups = filter_supernodes(g, map_clique, KIND_CLIQUE)
-        claimed = {v for grp in clique_groups for v in grp}
-        is_groups = filter_supernodes(g, map_is, KIND_INDEPENDENT_SET, skip=claimed)
+        is_groups = filter_supernodes(g, map_is, KIND_INDEPENDENT_SET)
         reference = summarize_naive(g)
         multi = {
             frozenset(grp) for grp in reference.supernodes if len(grp) >= 2
@@ -202,9 +201,25 @@ class TestFilterMatchesPivotLoop:
         map_clique, map_is = candidate_supernodes(g)
         clique_groups = filter_supernodes(g, map_clique, KIND_CLIQUE)
         assert clique_groups == pivot_loop_groups(g, map_clique, closed=True)
-        claimed = {v for grp in clique_groups for v in grp}
-        is_groups = filter_supernodes(g, map_is, KIND_INDEPENDENT_SET, skip=claimed)
-        assert is_groups == pivot_loop_groups(g, map_is, closed=False, skip=claimed)
+        is_groups = filter_supernodes(g, map_is, KIND_INDEPENDENT_SET)
+        assert is_groups == pivot_loop_groups(g, map_is, closed=False)
+
+    def test_claimed_nodes_never_change_the_independent_set_groups(self):
+        # no node has both a true twin v (N[v] = N[u]) and a false twin w
+        # (N(w) = N(u)): v in N(u) = N(w) puts w in N[v] = N[u], yet w and u
+        # are not adjacent. So leaving out the clique groups' nodes, as the
+        # oracle's skip does, never changes the independent-set groups.
+        battery = [twin_rich_graph(seed) for seed in range(6)]
+        densities = (0.05, 0.3, 0.6, 0.9)
+        battery += [er_graph(12 + seed % 20, densities[seed % 4], seed) for seed in range(300)]
+        both = 0
+        for g in battery:
+            map_clique, map_is = candidate_supernodes(g)
+            claimed = {v for grp in pivot_loop_groups(g, map_clique, closed=True) for v in grp}
+            is_groups = pivot_loop_groups(g, map_is, closed=False)
+            assert pivot_loop_groups(g, map_is, closed=False, skip=claimed) == is_groups
+            both += bool(claimed) and bool(is_groups)
+        assert both >= 20, "too few graphs with both kinds of groups"
 
     def test_bucket_of_three_classes_splits_in_rounds(self, monkeypatch):
         # leaves 3,4 | 5,6 | 7,8 share hub 0 | 1 | 2; the hubs stand alone
@@ -284,8 +299,7 @@ class TestScalable:
     def test_derived_kinds_match_filter(self, g):
         map_clique, map_is = candidate_supernodes(g)
         clique_groups = filter_supernodes(g, map_clique, KIND_CLIQUE)
-        claimed = {v for grp in clique_groups for v in grp}
-        is_groups = filter_supernodes(g, map_is, KIND_INDEPENDENT_SET, skip=claimed)
+        is_groups = filter_supernodes(g, map_is, KIND_INDEPENDENT_SET)
         s, naive = summarize(g), summarize_naive(g)
         tagged = [(grp, KIND_CLIQUE) for grp in clique_groups]
         tagged += [(grp, KIND_INDEPENDENT_SET) for grp in is_groups]

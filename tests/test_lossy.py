@@ -27,8 +27,7 @@ from graphsum import (
     uniform_centrality,
 )
 from graphsum import lossy
-from graphsum.graph import relabel_by_first_appearance
-from graphsum.lossy import _number_keys
+from graphsum.graph import number_keys, relabel_by_first_appearance
 from graphsum.unionfind import UnionFind
 
 from conftest import random_graphs
@@ -619,9 +618,9 @@ class TestArrayPassMatchesLoop:
 
 
 class TestNumberKeys:
-    """The probe's key numbering, against np.unique at the edge of the
-    packed sort: the largest key's bit length plus that of the largest
-    index (3 for 5 keys) is 63 (packed) or 64 (argsort)."""
+    """The probe's key numbering, graph.number_keys, against np.unique at
+    the edge of the packed sort: the largest key's bit length plus that of
+    the largest index (3 for 5 keys) is 63 (packed) or 64 (argsort)."""
 
     @pytest.mark.parametrize(
         "keys, packed",
@@ -634,15 +633,17 @@ class TestNumberKeys:
             ([], True),
         ],
     )
-    def test_matches_unique(self, keys, packed):
+    def test_matches_unique(self, monkeypatch, keys, packed):
         keys = np.array(keys, dtype=np.int64)
         expected_keys, expected_ids = np.unique(keys, return_inverse=True)
+        argsort, argsorted = np.argsort, []
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: argsorted.append(1) or argsort(*a, **k))
         work = keys.copy()
-        ids, distinct = _number_keys(work)
+        ids, distinct, _ = number_keys(work)
         assert ids.tolist() == expected_ids.tolist()
         assert distinct.tolist() == expected_keys.tolist()
-        # the packed sort leaves the sorted keys in place; argsort does not
-        assert np.array_equal(work, np.sort(keys) if packed else keys)
+        assert np.array_equal(work, keys)  # neither path writes the keys
+        assert not argsorted if packed else argsorted
 
     def test_random_keys_with_repeats(self):
         rng = np.random.default_rng(5)
@@ -650,7 +651,7 @@ class TestNumberKeys:
             keys = rng.integers(0, top, size=3000)
             keys[::3] = keys[1::3]
             expected_keys, expected_ids = np.unique(keys, return_inverse=True)
-            ids, distinct = _number_keys(keys.copy())
+            ids, distinct, _ = number_keys(keys.copy())
             assert np.array_equal(ids, expected_ids)
             assert np.array_equal(distinct, expected_keys)
 
