@@ -21,6 +21,7 @@ from .errors import (
     CapExceededError,
     DegenerateWeightsError,
     EdgeListParseError,
+    EmptyGraphError,
     GraphSumError,
     ModelUndefinedError,
     UnsupportedSummaryError,
@@ -56,6 +57,7 @@ __all__ = [
     "DegenerateWeightsError",
     "EdgeListParseError",
     "EdgeWeightModel",
+    "EmptyGraphError",
     "Graph",
     "GraphSumError",
     "LoadResult",

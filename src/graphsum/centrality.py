@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CapExceededError, DegenerateWeightsError, ModelUndefinedError
+from .errors import CapExceededError, DegenerateWeightsError, EmptyGraphError, ModelUndefinedError
 from .graph import Graph
 
 DEFAULT_DAMPING = 0.85
@@ -109,7 +109,7 @@ def pagerank(
     1 and no cliques.
     """
     if g.n == 0:
-        raise ValueError("pagerank of an empty graph is undefined")
+        raise EmptyGraphError("pagerank of an empty graph is undefined")
     scores, iterations, converged = pagerank_iteration(
         g, np.ones(g.n), np.zeros(g.n, dtype=bool), damping, tol, max_iter
     )
@@ -118,7 +118,7 @@ def pagerank(
 
 def degree_centrality(g: Graph) -> NodeCentrality:
     if g.n == 0:
-        raise ValueError("degree centrality of an empty graph is undefined")
+        raise EmptyGraphError("degree centrality of an empty graph is undefined")
     return NodeCentrality(g.degrees.astype(np.float64), "degree")
 
 
@@ -132,7 +132,7 @@ def eigenvector_centrality(
     oscillate on bipartite graphs, in which case the result is flagged).
     """
     if g.n == 0:
-        raise ValueError("eigenvector centrality of an empty graph is undefined")
+        raise EmptyGraphError("eigenvector centrality of an empty graph is undefined")
     if g.m == 0:
         return NodeCentrality(np.zeros(g.n), "eigenvector", True, 0)
     x = np.full(g.n, 1.0 / np.sqrt(g.n))
@@ -165,7 +165,7 @@ def betweenness_centrality(
     algorithm and approximate variants are out of scope.
     """
     if g.n == 0:
-        raise ValueError("betweenness of an empty graph is undefined")
+        raise EmptyGraphError("betweenness of an empty graph is undefined")
     if g.n > cap:
         raise CapExceededError(
             f"exact betweenness capped at n={cap} nodes (got {g.n}); "
@@ -207,7 +207,7 @@ def betweenness_centrality(
 def uniform_centrality(g: Graph) -> NodeCentrality:
     """Constant scores: every actual edge gets weight 1/m in the model."""
     if g.n == 0:
-        raise ValueError("uniform centrality of an empty graph is undefined")
+        raise EmptyGraphError("uniform centrality of an empty graph is undefined")
     return NodeCentrality(np.ones(g.n), "uniform")
 
 

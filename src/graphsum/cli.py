@@ -27,6 +27,7 @@ from .errors import (
     CapExceededError,
     DegenerateWeightsError,
     EdgeListParseError,
+    EmptyGraphError,
     GraphSumError,
     ModelUndefinedError,
     UnsupportedSummaryError,
@@ -52,6 +53,7 @@ ERROR_EXITS = {
     DegenerateWeightsError: EXIT_UNSUPPORTED,
     CapExceededError: EXIT_CAP,
     EdgeListParseError: EXIT_UNSUPPORTED,
+    EmptyGraphError: EXIT_UNSUPPORTED,
     GraphSumError: EXIT_INTERNAL,
     OSError: EXIT_INTERNAL,
     ValueError: EXIT_INTERNAL,

@@ -17,6 +17,10 @@ class EdgeListParseError(GraphSumError):
         self.line_number = line_number
 
 
+class EmptyGraphError(GraphSumError, ValueError):
+    """A score asked of a graph or summary with no nodes, where it is undefined."""
+
+
 class ModelUndefinedError(GraphSumError):
     """Edge-weight model has no valid definition (e.g. complete graph, no spurious pair)."""
 

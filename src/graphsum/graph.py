@@ -3,7 +3,8 @@
 This module owns the plain-text edge-list interchange format used by every
 command in the toolkit:
 
-    one edge per line, two base-10 integers separated by whitespace;
+    ASCII text, one edge per line, two integers of any size separated by
+    whitespace, each ASCII digits with an optional sign and not negative;
     lines starting with '#' and blank lines are skipped; no header.
 
 Loading drops edge directions, merges duplicate edges, discards self-loops
@@ -17,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -242,16 +243,17 @@ def load_edge_list(path: str | Path) -> LoadResult:
     """Load an undirected simple graph from an edge-list text file.
 
     Raises EdgeListParseError (with the offending line number) on a
-    non-integer token, a wrong token count or a negative id.
+    non-ASCII byte, a non-integer token, a wrong token count or a negative id.
 
     A file of digits, spaces, tabs and newlines only, two tokens of at most
     18 digits on each non-blank line, is parsed as one array; any other file
-    (comments, signs, CRLF endings, longer ids, errors) goes through the
-    line parser, the only code that reports a line number.
+    (comments, signs, CRLF endings, longer ids, errors) is tokenized line by
+    line into the same array, the only code that reports a line number.
     """
-    pairs = parse_int_pairs(Path(path).read_bytes())
+    data = Path(path).read_bytes()
+    pairs = parse_int_pairs(data)
     if pairs is None:
-        return _load_edge_lines(path)
+        pairs = _tokenize_edge_lines(data)
     ids = pairs.reshape(-1)
     compact, starts = _first_appearance(ids)
     original_ids = ids[starts]
@@ -313,53 +315,6 @@ def number_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rank, distinct, starts
 
 
-def _load_edge_lines(path: str | Path) -> LoadResult:
-    """load_edge_list one line at a time, for files parse_int_pairs rejects."""
-    remap: dict[int, int] = {}
-    original_ids: list[int] = []
-    endpoints: list[int] = []
-    self_loops = 0
-    edge_lines = 0
-
-    def compact(x: int) -> int:
-        new = remap.get(x)
-        if new is None:
-            new = len(original_ids)
-            remap[x] = new
-            original_ids.append(x)
-        return new
-
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            if len(tokens) != 2:
-                raise EdgeListParseError(
-                    f"expected two integer tokens, got {len(tokens)}", lineno
-                )
-            try:
-                a, b = int(tokens[0]), int(tokens[1])
-            except ValueError:
-                raise EdgeListParseError(
-                    f"non-integer token in {line!r}", lineno
-                ) from None
-            if a < 0 or b < 0:
-                raise EdgeListParseError(f"negative node id in {line!r}", lineno)
-            edge_lines += 1
-            u, v = compact(a), compact(b)
-            if u == v:
-                self_loops += 1
-                continue
-            endpoints += (u, v)
-
-    ends = np.array(endpoints, dtype=np.int64)
-    graph = _simple_graph(len(original_ids), ends[0::2], ends[1::2])
-    duplicates = edge_lines - self_loops - graph.m
-    return LoadResult(graph, original_ids, duplicates, self_loops)
-
-
 # Longer tokens may exceed int64, which np.fromstring saturates silently.
 _MAX_DIGITS = 18
 
@@ -391,22 +346,52 @@ def parse_int_pairs(data: bytes) -> np.ndarray | None:
     return np.fromstring(data, dtype=np.int64, sep=" ").reshape(-1, 2)
 
 
+def _tokenize_edge_lines(data: bytes) -> np.ndarray:
+    """The (r, 2) array of parse_int_pairs for any edge list, tokenized line by
+    line, raising EdgeListParseError at the first line at fault. Ids past int64
+    make it dtype=object, of exact ints: numpy infers [2**63, 1] as float64."""
+    ids: list[int] = []
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        if not raw.isascii():
+            raise EdgeListParseError(f"non-ASCII byte in {raw.strip()!r}", lineno)
+        line = raw.decode().strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise EdgeListParseError(f"expected two integer tokens, got {len(tokens)}", lineno)
+        try:
+            if "_" in line:  # int() takes [+-]?[0-9]+, but also 1_0 as 10
+                raise ValueError
+            a, b = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise EdgeListParseError(f"non-integer token in {line!r}", lineno) from None
+        if a < 0 or b < 0:
+            raise EdgeListParseError(f"negative node id in {line!r}", lineno)
+        ids += (a, b)
+    dtype = np.int64 if max(ids, default=0) < 2**63 else object
+    return np.array(ids, dtype=dtype).reshape(-1, 2)
+
+
 def write_edge_list(g: Graph, path: str | Path) -> None:
     """Write each canonical edge (u < v) once as "u v\\n", ascending order."""
-    u, v = g.edge_arrays
-    write_int_pairs(path, u.tolist(), v.tolist())
+    write_int_pairs(path, *g.edge_arrays)
 
 
 def write_id_map(result: LoadResult, path: str | Path) -> None:
     """Persist the compact-id -> original-id mapping ("new original" lines)."""
-    write_int_pairs(path, range(len(result.original_ids)), result.original_ids)
+    ids = np.array(result.original_ids, dtype=object)  # exact past int64
+    write_int_pairs(path, np.arange(len(ids)), ids)
 
 
-def write_int_pairs(path: str | Path, first: Sequence[int], second: Sequence[int]) -> None:
-    """Write "first[i] second[i]\\n" for each i, formatted at once and
-    written in one call."""
-    flat = [0] * (2 * len(first))
-    flat[0::2] = first
-    flat[1::2] = second
+_WRITE_BLOCK = 65536  # pairs formatted per write, so no whole-file text is held
+
+
+def write_int_pairs(path: str | Path, first: np.ndarray, second: np.ndarray) -> None:
+    """Write "first[i] second[i]\\n" for each i, formatted with "%d %d\\n"
+    over Python ints (tolist() keeps object ids past int64 exact)."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("%d %d\n" * len(first) % tuple(flat))
+        for start in range(0, len(first), _WRITE_BLOCK):
+            block = slice(start, start + _WRITE_BLOCK)
+            flat = np.stack((first[block], second[block]), axis=1).ravel().tolist()
+            fh.write("%d %d\n" * (len(flat) // 2) % tuple(flat))

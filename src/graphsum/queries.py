@@ -28,7 +28,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .centrality import DEFAULT_DAMPING, DEFAULT_MAX_ITER, DEFAULT_TOL, pagerank_iteration
-from .errors import UnsupportedSummaryError
+from .errors import EmptyGraphError, UnsupportedSummaryError
 from .graph import Graph, stable_order
 from .summary import Summary
 
@@ -174,7 +174,7 @@ def pagerank_on_summary(
     """
     _require_lossless(s)
     if s.n == 0:
-        raise ValueError("pagerank of an empty summary is undefined")
+        raise EmptyGraphError("pagerank of an empty summary is undefined")
     sizes = s.sizes.astype(np.float64)
     scores, iterations, converged = pagerank_iteration(
         s.super_adjacency(), sizes, s.cliques, damping, tol, max_iter

@@ -244,9 +244,8 @@ def save_summary(s: Summary, outdir: str | Path, meta: dict[str, object] | None 
     for name, written in (("kinds.txt", s.is_lossless), ("meta.txt", meta is not None)):
         if not written:
             (out / name).unlink(missing_ok=True)
-    graphmod.write_int_pairs(out / "membership.txt", range(s.n), s.membership.tolist())
-    a, b = s.superedges.pairs  # ascending (a, b), as sorted() orders the tuples
-    graphmod.write_int_pairs(out / "superedges.txt", a.tolist(), b.tolist())
+    graphmod.write_int_pairs(out / "membership.txt", np.arange(s.n), s.membership)
+    graphmod.write_int_pairs(out / "superedges.txt", *s.superedges.pairs)  # ascending (a, b)
     if s.is_lossless:
         (out / "kinds.txt").write_bytes(_kinds_text(s.kinds))
     if meta is not None:
@@ -372,8 +371,11 @@ def _read_pairs(path: Path) -> np.ndarray:
     if pairs is not None:
         return pairs
     rows = []
-    for lineno, tokens in enumerate(map(str.split, _read_text(path).splitlines()), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+        tokens = line.split()
         try:
+            if "_" in line:  # int() takes [+-]?[0-9]+, but also 1_0 as 10
+                raise ValueError
             if tokens:
                 rows.append(np.array(tokens, dtype=np.int64).reshape(2))
         except (ValueError, OverflowError):

@@ -12,11 +12,21 @@ import itertools
 import math
 from collections import Counter, deque
 from collections.abc import Iterator
+from pathlib import Path
 
 import numpy as np
 
-from graphsum import CapExceededError, EdgeWeightModel, Graph, Summary, from_edges
+from graphsum import (
+    CapExceededError,
+    EdgeListParseError,
+    EdgeWeightModel,
+    Graph,
+    LoadResult,
+    Summary,
+    from_edges,
+)
 from graphsum.evaluate import LosslessnessReport
+from graphsum.graph import _simple_graph
 from graphsum.lossless import _assemble
 from graphsum.summary import DEFAULT_RECONSTRUCT_CAP
 
@@ -547,3 +557,59 @@ def replayed_prefix_labels(n: int, pairs) -> Iterator[list[int]]:
         if a != b:
             labels = [a if x == b else x for x in labels]
         yield labels
+
+
+def load_edge_lines(path: str | Path) -> LoadResult:
+    """load_edge_list one line at a time, compacting ids through a dict."""
+    remap: dict[int, int] = {}
+    original_ids: list[int] = []
+    endpoints: list[int] = []
+    self_loops = 0
+    edge_lines = 0
+
+    def compact(x: int) -> int:
+        new = remap.get(x)
+        if new is None:
+            new = len(original_ids)
+            remap[x] = new
+            original_ids.append(x)
+        return new
+
+    def strict_int(token: str) -> int:
+        digits = token[1:] if token[0] in "+-" else token
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(token)
+        return int(token)
+
+    # latin-1 decodes every byte, so a non-ASCII line is named, not fatal to the read
+    with open(path, "r", encoding="latin-1") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if not raw.isascii():
+                raise EdgeListParseError("non-ASCII byte", lineno)
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            tokens = line.split()
+            if len(tokens) != 2:
+                raise EdgeListParseError(
+                    f"expected two integer tokens, got {len(tokens)}", lineno
+                )
+            try:
+                a, b = strict_int(tokens[0]), strict_int(tokens[1])
+            except ValueError:
+                raise EdgeListParseError(
+                    f"non-integer token in {line!r}", lineno
+                ) from None
+            if a < 0 or b < 0:
+                raise EdgeListParseError(f"negative node id in {line!r}", lineno)
+            edge_lines += 1
+            u, v = compact(a), compact(b)
+            if u == v:
+                self_loops += 1
+                continue
+            endpoints += (u, v)
+
+    ends = np.array(endpoints, dtype=np.int64)
+    graph = _simple_graph(len(original_ids), ends[0::2], ends[1::2])
+    duplicates = edge_lines - self_loops - graph.m
+    return LoadResult(graph, original_ids, duplicates, self_loops)

@@ -85,6 +85,29 @@ class TestLossless:
         assert main(["eval", "--summary", str(out), "--metric", "rn"]) == 0
         assert capsys.readouterr().out == "rn 0.0\n"
 
+    def test_empty_edge_list_scores_exit_3(self, tmp_path, capsys):
+        """Scores of an empty graph are undefined: unsupported input, with the
+        library's message, not an internal error."""
+        path = tmp_path / "empty.txt"
+        path.write_text("")
+        out = tmp_path / "sum"
+        assert main(["lossless", "--input", str(path), "--out", str(out)]) == 0
+        lossy = ["lossy", "--input", str(path), "--out", str(tmp_path / "lossy"), "--tau", "0.8"]
+        app_utility = ["eval", "--summary", str(out), "--metric", "app-utility"]
+        runs = [
+            (lossy, "pagerank of an empty graph"),
+            ([*lossy, "--centrality", "degree"], "degree centrality of an empty graph"),
+            ([*app_utility, "--input", str(path)], "pagerank of an empty graph"),
+            (["query", "--summary", str(out), "pagerank"], "pagerank of an empty summary"),
+        ]
+        capsys.readouterr()
+        for argv, message in runs:
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message} is undefined\n"
+        assert not (tmp_path / "lossy").exists()
+
     def test_missing_input_is_internal_error(self, tmp_path):
         rc = main(
             ["lossless", "--input", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "o")]
@@ -330,6 +353,15 @@ class TestCorruptSummary:
         assert captured.out == ""
         assert name in captured.err and "non-ASCII" in captured.err
 
+    def test_underscore_in_token(self, cycle4_summary, capsys):
+        # int() would read 0_0 as 0 and answer as if the file were intact
+        path = cycle4_summary / "membership.txt"
+        path.write_text(path.read_text().replace("2 0\n", "2 0_0\n"))
+        assert main(["query", "--summary", str(cycle4_summary), "sssp", "0", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "membership.txt: line 3: expected two integers, got '2 0_0'" in captured.err
+
     def test_intact_summary_still_answers(self, cycle4_summary, capsys):
         assert main(["query", "--summary", str(cycle4_summary), "sssp", "1", "3"]) == 0
         assert capsys.readouterr().out == "1 3 2\n"
@@ -549,12 +581,14 @@ class TestMalformedEdgeList:
             ("0 1\nx 2\n", "line 2: non-integer token in 'x 2'"),
             ("0 1\n1 2 3\n", "line 2: expected two integer tokens, got 3"),
             ("# c\n0 -1\n", "line 2: negative node id in '0 -1'"),
+            ("1_0 2\n", "line 1: non-integer token in '1_0 2'"),
+            ("0 1\n1 \xe9\n", "line 2: non-ASCII byte in b'1 \\xe9'"),
         ],
     )
     @pytest.mark.parametrize("command", ["lossless", "lossy", "app-utility", "verify-lossless"])
     def test_exits_3(self, k4_summary, tmp_path, capsys, command, text, message):
         path = tmp_path / "bad.txt"
-        path.write_text(text)
+        path.write_bytes(text.encode("latin-1"))
         out = tmp_path / "out"
         argv = {
             "lossless": ["lossless", "--out", str(out)],

@@ -9,20 +9,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphsum import EdgeListParseError, from_edges, load_edge_list, write_edge_list
+from graphsum import (
+    EdgeListParseError,
+    LoadResult,
+    from_edges,
+    load_edge_list,
+    save_summary,
+    summarize,
+    write_edge_list,
+)
 from graphsum import graph as graph_module
 from graphsum.graph import (
     Graph,
-    _load_edge_lines,
     number_keys,
     parse_int_pairs,
     relabel_by_first_appearance,
     stable_order,
+    write_id_map,
 )
 
 from conftest import random_graphs
 from generators import er_graph, path_graph, spread_graph, star_graph, twin_rich_graph
-from oracles import two_hop_by_matrix_square
+from oracles import load_edge_lines, two_hop_by_matrix_square
 
 
 def write_lines(tmp_path, lines, name="g.txt"):
@@ -90,17 +98,19 @@ class TestLoad:
 
 
 def load_outcome(load, path):
-    """A load's LoadResult fields, or its exception type and line number."""
+    """A load's LoadResult fields, or its exception type and line number.
+    Original ids compare by repr: a float 2.0**63 equals the int 2**63."""
     try:
         res = load(path)
-    except (EdgeListParseError, UnicodeDecodeError) as exc:
-        return type(exc), getattr(exc, "line_number", None)
-    return res.graph, res.original_ids, res.duplicate_edges, res.self_loops
+    except EdgeListParseError as exc:
+        return type(exc), exc.line_number
+    return res.graph, list(map(repr, res.original_ids)), res.duplicate_edges, res.self_loops
 
 
 class TestArrayLoaderMatchesLineParser:
-    """load_edge_list parses accepted files as one array; the line parser
-    must give the same result, or the same error, on every input."""
+    """load_edge_list parses accepted files as one array and tokenizes the
+    rest line by line; the line-by-line oracle must give the same result, or
+    the same error, on every input."""
 
     @pytest.mark.parametrize(
         "data, array_parsed",
@@ -113,6 +123,7 @@ class TestArrayLoaderMatchesLineParser:
             (b"0 1 2 3\n", False),  # an even token count, four on one line
             (b"0 1 2\n3\n", False),
             (b"12345678901234567890 1\n1 2\n", False),  # over int64
+            (b"9223372036854775808 1\n", False),  # 2**63, float64 if numpy infers it
             (b"1000000000000000000 1\n", False),  # 19 digits
             (b"999999999999999999 1\n", True),  # 18 digits
             (b"+5 1\n", False),
@@ -132,9 +143,9 @@ class TestArrayLoaderMatchesLineParser:
         path = tmp_path / "g.txt"
         path.write_bytes(data)
         assert (parse_int_pairs(data) is not None) == array_parsed
-        assert load_outcome(load_edge_list, path) == load_outcome(_load_edge_lines, path)
+        assert load_outcome(load_edge_list, path) == load_outcome(load_edge_lines, path)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
         st.lists(
             st.tuples(
@@ -142,14 +153,22 @@ class TestArrayLoaderMatchesLineParser:
                 st.integers(0, 2**62),
                 st.sampled_from([" ", "\t", "  "]),
                 st.booleans(),  # write the pair reversed as well
+                st.booleans(),  # lift the first id by the file's offset
             ),
             max_size=40,
         ),
+        st.sampled_from([0, 2**63, 2**64]),  # lifted ids in [2**63, 2**64) or past 2**64
+        st.booleans(),  # a '#' comment line
+        st.booleans(),  # CRLF line endings
+        st.booleans(),  # a '+' sign on the first line
         st.data(),
     )
-    def test_round_trip_random_edge_lists(self, tmp_path_factory, rows, data):
+    def test_round_trip_random_edge_lists(
+        self, tmp_path_factory, rows, offset, comment, crlf, plus, data
+    ):
         lines = []
-        for a, b, sep, reverse in rows:
+        for a, b, sep, reverse, lift in rows:
+            a += offset * lift
             lines.append(f"{a}{sep}{b}")
             if reverse:
                 lines.append(f"{b}{sep}{a}")
@@ -157,17 +176,23 @@ class TestArrayLoaderMatchesLineParser:
             lines.append(data.draw(st.sampled_from(lines)))
             loop = data.draw(st.sampled_from(lines)).split()[0]
             lines.append(f"{loop} {loop}")
-        text = "".join(line + "\n" for line in lines).encode("ascii")
+        pairs = [tuple(map(int, line.split())) for line in lines]
+        ids = [x for pair in pairs for x in pair]
+        if plus and lines:
+            lines[0] = "+" + lines[0]
+        if comment:
+            lines.insert(data.draw(st.integers(0, len(lines))), "# a comment")
+        eol = "\r\n" if crlf else "\n"
+        text = "".join(line + eol for line in lines).encode("ascii")
         path = tmp_path_factory.mktemp("rt") / "g.txt"
         path.write_bytes(text)
-        ids = [int(tok) for line in lines for tok in line.split()]
-        assert (parse_int_pairs(text) is not None) == all(x < 10**18 for x in ids)
+        line_path = comment or (crlf or plus) and bool(lines) or any(x >= 10**18 for x in ids)
+        assert (parse_int_pairs(text) is None) == line_path
         res = load_edge_list(path)
-        assert load_outcome(load_edge_list, path) == load_outcome(_load_edge_lines, path)
+        assert load_outcome(load_edge_list, path) == load_outcome(load_edge_lines, path)
         assert res.original_ids == list(dict.fromkeys(ids))
         orig = res.original_ids
         loaded = {tuple(sorted((orig[u], orig[v]))) for u, v in res.graph.edges()}
-        pairs = [tuple(map(int, line.split())) for line in lines]
         assert loaded == {tuple(sorted(p)) for p in pairs if p[0] != p[1]}
         assert res.self_loops == sum(p[0] == p[1] for p in pairs)
         assert res.duplicate_edges == len(pairs) - res.self_loops - res.graph.m
@@ -240,6 +265,29 @@ class TestWrite:
         path = tmp_path / "out.txt"
         write_edge_list(from_edges(0, []), path)
         assert path.read_text() == ""
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 65536])
+    def test_blocks_match_one_shot_format(self, tmp_path, monkeypatch, block):
+        """Every pair file reads as the whole file formatted at once, also when
+        its length is a multiple of the block or ends inside one."""
+
+        def one_shot(first, second) -> bytes:
+            flat = tuple(itertools.chain.from_iterable(zip(first, second)))
+            return ("%d %d\n" * len(first) % flat).encode("ascii")
+
+        monkeypatch.setattr(graph_module, "_WRITE_BLOCK", block)
+        g = twin_rich_graph(3)
+        write_edge_list(g, tmp_path / "g.txt")
+        assert (tmp_path / "g.txt").read_bytes() == one_shot(*zip(*g.edges()))
+        ids = [2**64 + 7, 5, 2**63, 2**63 - 1, 12345678901234567890, 0, 1]
+        write_id_map(LoadResult(from_edges(len(ids), []), ids, 0, 0), tmp_path / "ids.txt")
+        assert (tmp_path / "ids.txt").read_bytes() == one_shot(range(len(ids)), ids)
+        s = summarize(g)
+        save_summary(s, tmp_path / "sum")
+        membership = (tmp_path / "sum" / "membership.txt").read_bytes()
+        assert membership == one_shot(range(s.n), s.membership.tolist())
+        superedges = (tmp_path / "sum" / "superedges.txt").read_bytes()
+        assert superedges == one_shot(*zip(*sorted(s.superedges)))
 
     @pytest.mark.parametrize(
         "g",
