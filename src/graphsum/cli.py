@@ -23,15 +23,7 @@ from pathlib import Path
 
 from . import centrality as cent
 from . import evaluate, lossless, lossy, queries
-from .errors import (
-    CapExceededError,
-    DegenerateWeightsError,
-    EdgeListParseError,
-    EmptyGraphError,
-    GraphSumError,
-    ModelUndefinedError,
-    UnsupportedSummaryError,
-)
+from .errors import GraphSumError
 from .graph import load_edge_list, write_id_map
 from .summary import (
     DEFAULT_RECONSTRUCT_CAP,
@@ -43,22 +35,6 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
-EXIT_CAP = 4
-
-# Each exception type the commands raise and its exit code, subclasses
-# before their base classes.
-ERROR_EXITS = {
-    UnsupportedSummaryError: EXIT_UNSUPPORTED,
-    ModelUndefinedError: EXIT_UNSUPPORTED,
-    DegenerateWeightsError: EXIT_UNSUPPORTED,
-    CapExceededError: EXIT_CAP,
-    EdgeListParseError: EXIT_UNSUPPORTED,
-    EmptyGraphError: EXIT_UNSUPPORTED,
-    GraphSumError: EXIT_INTERNAL,
-    OSError: EXIT_INTERNAL,
-    ValueError: EXIT_INTERNAL,
-    IndexError: EXIT_INTERNAL,
-}
 
 # The range of each numeric flag, checked before any command runs.
 FLAG_RANGES = {
@@ -192,8 +168,6 @@ def cmd_query(args) -> int:
         d = queries.shortest_path_length(s, args.u, args.v)
         text = "inf" if math.isinf(d) else str(int(d))
         _emit([f"{args.u} {args.v} {text}"], args.out, "distance.txt")
-    else:  # unreachable, argparse restricts choices
-        return EXIT_USAGE
     return EXIT_OK
 
 
@@ -308,9 +282,9 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_USAGE
     try:
         return args.func(args)
-    except tuple(ERROR_EXITS) as exc:
+    except (GraphSumError, OSError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return next(code for kind, code in ERROR_EXITS.items() if isinstance(exc, kind))
+        return getattr(exc, "exit_code", EXIT_INTERNAL)  # a GraphSumError's own code
 
 
 if __name__ == "__main__":

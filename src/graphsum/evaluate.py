@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .centrality import NodeCentrality
+from .errors import EmptyGraphError
 from .graph import Graph
 from .summary import DEFAULT_RECONSTRUCT_CAP, Summary, reconstruct
 
@@ -39,8 +40,11 @@ def app_utility(s: Summary, c: NodeCentrality, t_percent: float) -> AppUtilityRe
     """Mean of 1/|S(v)| over the top-t% central nodes.
 
     1.0 means every top node sits alone in its supernode; crowding any of
-    them lowers the value.
+    them lowers the value. Undefined, raising EmptyGraphError, for a summary
+    with no nodes.
     """
+    if not s.n:
+        raise EmptyGraphError("app-utility of an empty summary is undefined")
     if len(c) != s.n:
         raise ValueError("centrality length does not match summary")
     top = top_nodes(c, t_percent)

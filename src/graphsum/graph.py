@@ -1,9 +1,10 @@
 """Undirected simple graphs in a compressed sorted-adjacency layout.
 
-This module owns the plain-text edge-list interchange format used by every
-command in the toolkit:
+This module owns the plain-text pair format of the edge lists every
+command reads, which the summary files membership.txt and superedges.txt
+share (read_int_pairs reads them all):
 
-    ASCII text, one edge per line, two integers of any size separated by
+    ASCII text, one pair per line, two integers of any size separated by
     whitespace, each ASCII digits with an optional sign and not negative;
     lines starting with '#' and blank lines are skipped; no header.
 
@@ -242,18 +243,11 @@ class LoadResult:
 def load_edge_list(path: str | Path) -> LoadResult:
     """Load an undirected simple graph from an edge-list text file.
 
-    Raises EdgeListParseError (with the offending line number) on a
-    non-ASCII byte, a non-integer token, a wrong token count or a negative id.
-
-    A file of digits, spaces, tabs and newlines only, two tokens of at most
-    18 digits on each non-blank line, is parsed as one array; any other file
-    (comments, signs, CRLF endings, longer ids, errors) is tokenized line by
-    line into the same array, the only code that reports a line number.
+    The pairs come from read_int_pairs, which raises EdgeListParseError
+    (with the offending line number) on a non-ASCII byte, a non-integer
+    token, a wrong token count or a negative id.
     """
-    data = Path(path).read_bytes()
-    pairs = parse_int_pairs(data)
-    if pairs is None:
-        pairs = _tokenize_edge_lines(data)
+    pairs = read_int_pairs(Path(path).read_bytes())
     ids = pairs.reshape(-1)
     compact, starts = _first_appearance(ids)
     original_ids = ids[starts]
@@ -324,8 +318,8 @@ def parse_int_pairs(data: bytes) -> np.ndarray | None:
     array, or None unless data holds only digits, spaces, tabs and newlines,
     with exactly two tokens of at most 18 digits on each non-blank line.
 
-    Checks and parses whole arrays; callers re-read rejected data line by
-    line to report the line at fault.
+    Checks and parses whole arrays; read_int_pairs re-reads rejected data
+    line by line to report the line at fault.
     """
     chars = np.frombuffer(data, dtype=np.uint8)
     digit = (chars >= ord("0")) & (chars <= ord("9"))
@@ -346,10 +340,16 @@ def parse_int_pairs(data: bytes) -> np.ndarray | None:
     return np.fromstring(data, dtype=np.int64, sep=" ").reshape(-1, 2)
 
 
-def _tokenize_edge_lines(data: bytes) -> np.ndarray:
-    """The (r, 2) array of parse_int_pairs for any edge list, tokenized line by
-    line, raising EdgeListParseError at the first line at fault. Ids past int64
-    make it dtype=object, of exact ints: numpy infers [2**63, 1] as float64."""
+def read_int_pairs(data: bytes) -> np.ndarray:
+    """The pairs of any pair file (an edge list, membership.txt,
+    superedges.txt) as the (r, 2) array of parse_int_pairs. Data it rejects
+    (comments, signs, CRLF endings, longer ids, errors) is tokenized line by
+    line into the same array, raising EdgeListParseError at the first line
+    at fault. Ids past int64 make it dtype=object, of exact ints: numpy
+    infers [2**63, 1] as float64."""
+    pairs = parse_int_pairs(data)
+    if pairs is not None:
+        return pairs
     ids: list[int] = []
     for lineno, raw in enumerate(data.splitlines(), start=1):
         if not raw.isascii():

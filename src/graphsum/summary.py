@@ -7,6 +7,11 @@ A summary directory holds:
     kinds.txt        "sid kind" (lossless summaries only)
     meta.txt         "key value" records (algorithm, parameters, stats)
 
+membership.txt and superedges.txt are read as edge lists are, by
+graph.read_int_pairs, under one token rule: ASCII digits with an optional
+sign, no negative id, '#' and blank lines skipped. load_summary refuses
+a file that breaks it, naming the line, and one holding an id past int64.
+
 Reconstruction expands each cross superedge to a complete bipartite graph
 and each self superedge to a clique, as one array pass whose memory is
 O(implied edges); max_edges (the CLI's --cap-reconstruction) bounds it.
@@ -24,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import graph as graphmod
-from .errors import CapExceededError, UnsupportedSummaryError
+from .errors import CapExceededError, EdgeListParseError, UnsupportedSummaryError
 from .graph import Graph
 
 KIND_SINGLETON = "singleton"
@@ -95,9 +100,9 @@ class Summary:
     pairs (a, b) with a <= b, a self-pair meaning the supernode's members
     are all joined, given as any set of tuples and kept as a PairSet; and
     is_lossless. The constructor enforces what load_summary enforces on
-    disk: supernode ids are dense (none negative, none unused) and every
-    superedge satisfies 0 <= a <= b < k. The builders number supernodes by
-    first appearance over nodes 0..n-1.
+    disk: supernode ids are dense integers (none negative, none unused) and
+    every superedge satisfies 0 <= a <= b < k. The builders number
+    supernodes by first appearance over nodes 0..n-1.
 
     Derived: sizes (np.bincount of membership) at construction, since
     validation needs them; supernodes (member lists, ascending), the
@@ -116,9 +121,10 @@ class Summary:
     _super_graph: Graph | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.membership = np.asarray(self.membership, dtype=np.int64)
-        if self.membership.ndim != 1:
-            raise ValueError("membership must be one supernode id per node")
+        membership = np.asarray(self.membership)  # [] is float64, and empty
+        if membership.ndim != 1 or (membership.dtype.kind not in "iu" and membership.size):
+            raise ValueError("membership must be a 1-d integer array, one supernode id per node")
+        self.membership = membership.astype(np.int64, copy=False)
         self.sizes = _supernode_sizes(self.membership)
         if isinstance(self.superedges, PairSet):
             a, b = self.superedges.pairs
@@ -362,26 +368,15 @@ def read_meta(path: str | Path) -> dict[str, str]:
 
 
 def _read_pairs(path: Path) -> np.ndarray:
-    """The two integers on each non-blank line, as an (r, 2) int64 array.
-
-    Files the array parser rejects (signs, other whitespace, bad lines) are
-    read again line by line, which names the first line at fault.
-    """
-    pairs = graphmod.parse_int_pairs(path.read_bytes())
-    if pairs is not None:
-        return pairs
-    rows = []
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
-        tokens = line.split()
-        try:
-            if "_" in line:  # int() takes [+-]?[0-9]+, but also 1_0 as 10
-                raise ValueError
-            if tokens:
-                rows.append(np.array(tokens, dtype=np.int64).reshape(2))
-        except (ValueError, OverflowError):
-            got = " ".join(tokens)
-            raise _corrupt(path, f"expected two integers, got {got!r}", lineno) from None
-    return np.array(rows, dtype=np.int64).reshape(-1, 2)
+    """The pairs of membership.txt or superedges.txt as an (r, 2) int64
+    array, read by graph.read_int_pairs under the edge-list token rule."""
+    try:
+        pairs = graphmod.read_int_pairs(path.read_bytes())
+    except EdgeListParseError as exc:
+        raise _corrupt(path, str(exc)) from None
+    if pairs.dtype == object:  # exact ids past int64, which no summary holds
+        raise _corrupt(path, f"id {pairs.max()} does not fit in int64")
+    return pairs
 
 
 def _read_text(path: Path) -> str:

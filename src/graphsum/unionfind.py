@@ -34,9 +34,6 @@ class UnionFind:
     def __len__(self) -> int:
         return len(self.parent)
 
-    def num_sets(self) -> int:
-        return sum(1 for x, p in enumerate(self.parent) if x == p)
-
     def labels(self) -> list[int]:
         """Dense set labels, numbered by first appearance over nodes 0..n-1."""
         out = []

@@ -18,7 +18,7 @@ from graphsum import (
 )
 from graphsum.centrality import CENTRALITY_KINDS
 from graphsum.cli import CENTRALITIES, main
-from graphsum.summary import read_meta
+from graphsum.summary import load_summary, read_meta
 
 from generators import complete_graph, er_graph, star_graph
 
@@ -360,7 +360,52 @@ class TestCorruptSummary:
         assert main(["query", "--summary", str(cycle4_summary), "sssp", "0", "2"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "membership.txt: line 3: expected two integers, got '2 0_0'" in captured.err
+        assert "membership.txt: line 3: non-integer token in '2 0_0'" in captured.err
+
+    def test_comment_lines_and_crlf_load_as_the_clean_files(self, cycle4_summary):
+        # the pair files take the edge-list token rule: '#' lines skipped, CRLF read
+        clean = load_summary(cycle4_summary)
+        for name in ("membership.txt", "superedges.txt"):
+            path = cycle4_summary / name
+            path.write_bytes(b"# c\r\n" + path.read_bytes().replace(b"\n", b"\r\n"))
+        s = load_summary(cycle4_summary)
+        assert np.array_equal(s.membership, clean.membership)
+        assert s.superedges == clean.superedges and s.kinds == clean.kinds
+
+    @pytest.mark.parametrize(
+        "name, old, new, line",
+        [
+            ("membership.txt", "2 0\n", "2 -1\n", 3),
+            ("superedges.txt", "0 1\n", "0 -1\n", 1),
+        ],
+        ids=["membership", "superedges"],
+    )
+    def test_negative_sid(self, cycle4_summary, capsys, name, old, new, line):
+        path = cycle4_summary / name
+        path.write_text(path.read_text().replace(old, new))
+        assert main(["query", "--summary", str(cycle4_summary), "sssp", "0", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        text = new.strip()
+        assert f"{name}: line {line}: negative node id in '{text}'" in captured.err
+
+    @pytest.mark.parametrize(
+        "name, old, new",
+        [
+            ("membership.txt", "3 1\n", f"{2**64} 1\n"),
+            ("membership.txt", "3 1\n", f"3 {2**64}\n"),
+            ("superedges.txt", "0 1\n", f"0 {2**64}\n"),
+        ],
+        ids=["membership-node", "membership-sid", "superedges"],
+    )
+    def test_id_past_int64(self, cycle4_summary, capsys, name, old, new):
+        # exact past int64 from the tokenizer, which no summary id can be
+        path = cycle4_summary / name
+        path.write_text(path.read_text().replace(old, new))
+        assert main(["query", "--summary", str(cycle4_summary), "sssp", "0", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{name}: id {2**64} does not fit in int64" in captured.err
 
     def test_intact_summary_still_answers(self, cycle4_summary, capsys):
         assert main(["query", "--summary", str(cycle4_summary), "sssp", "1", "3"]) == 0

@@ -22,6 +22,7 @@ from graphsum import (
     uniform_centrality,
     verify_lossless,
 )
+from graphsum.errors import EmptyGraphError
 from graphsum.evaluate import top_nodes
 from graphsum.lossless import build_superedges_lossless
 
@@ -109,6 +110,11 @@ class TestAppUtility:
         if s.num_supernodes == g.n:
             report = app_utility(s, pagerank(g), 25.0)
             assert report.app_utility == 1.0
+
+    def test_empty_summary_is_undefined(self):
+        # the mean over no top nodes would divide by zero
+        with pytest.raises(EmptyGraphError, match="empty summary"):
+            app_utility(Summary([], set()), NodeCentrality(np.zeros(0), "degree"), 20.0)
 
     def test_top_nodes_in_pairs_give_half(self):
         # ten nodes, top scorers all sit in 2-node supernodes

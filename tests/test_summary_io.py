@@ -105,11 +105,20 @@ def test_validation_rejects_unknown_kind():
 
 
 @pytest.mark.parametrize(
-    "labels", [[0, 2], [1], [-1, 0], [0, 0, 3], [[0, 1]]], ids=str
+    "labels",
+    # a cast would store the float and bool arrays as [0 1] and [1 0 1]
+    [[0, 2], [1], [-1, 0], [0, 0, 3], [[0, 1]]]
+    + [np.array([0.7, 1.2]), np.array([True, False, True])],
+    ids=str,
 )
 def test_non_dense_labels_rejected_at_construction(labels):
     with pytest.raises(ValueError):
         Summary(labels, set())
+
+
+def test_empty_membership_list_accepted():
+    s = Summary([], set())
+    assert s.n == 0 and s.membership.dtype == np.int64
 
 
 @st.composite
