@@ -33,7 +33,7 @@ def top_nodes(c: NodeCentrality, t_percent: float) -> list[int]:
         raise ValueError("t_percent must lie in (0, 100]")
     n = len(c)
     k = math.ceil(t_percent / 100.0 * n)
-    return np.lexsort((np.arange(n), -c.scores))[:k].tolist()
+    return np.argsort(-c.scores, kind="stable")[:k].tolist()
 
 
 def app_utility(s: Summary, c: NodeCentrality, t_percent: float) -> AppUtilityReport:

@@ -4,9 +4,9 @@ This module owns the plain-text pair format of the edge lists every
 command reads, which the summary files membership.txt and superedges.txt
 share (read_int_pairs reads them all):
 
-    ASCII text, one pair per line, two integers of any size separated by
-    whitespace, each ASCII digits with an optional sign and not negative;
-    lines starting with '#' and blank lines are skipped; no header.
+    ASCII text, one pair per LF or CRLF line, two integers of any size
+    separated by whitespace, each ASCII digits with an optional sign and
+    not negative; lines starting with '#' and blank lines are skipped.
 
 Loading drops edge directions, merges duplicate edges, discards self-loops
 and compacts node ids to 0..n-1 in order of first appearance. The id
@@ -15,7 +15,10 @@ remapping is reported so external ids survive the round trip.
 
 from __future__ import annotations
 
+import io
 import itertools
+import operator
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -190,9 +193,12 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a Graph from (u, v) pairs.
 
     Pairs are canonicalized, duplicates merged and self-loops discarded.
-    Ids must lie in 0..n-1; n may exceed the ids used (isolated nodes).
+    Ids must be integers in 0..n-1; n may exceed the ids used (isolated nodes).
     """
-    flat = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int64)
+    try:  # np.fromiter alone would cast 0.7 to 0 and "1" to 1
+        flat = np.fromiter(map(operator.index, itertools.chain.from_iterable(edges)), np.int64)
+    except TypeError:
+        raise ValueError("edge ids must be integers") from None
     u, v = flat[0::2], flat[1::2]
     loop = u == v
     bad = ((np.minimum(u, v) < 0) | (np.maximum(u, v) >= n)) & ~loop
@@ -309,44 +315,35 @@ def number_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rank, distinct, starts
 
 
-# Longer tokens may exceed int64, which np.fromstring saturates silently.
-_MAX_DIGITS = 18
-
-
 def parse_int_pairs(data: bytes) -> np.ndarray | None:
-    """The two integers on each non-blank line of data as an (r, 2) int64
-    array, or None unless data holds only digits, spaces, tabs and newlines,
-    with exactly two tokens of at most 18 digits on each non-blank line.
-
-    Checks and parses whole arrays; read_int_pairs re-reads rejected data
-    line by line to report the line at fault.
-    """
-    chars = np.frombuffer(data, dtype=np.uint8)
-    digit = (chars >= ord("0")) & (chars <= ord("9"))
-    newline = chars == ord("\n")
-    if not np.all(digit | newline | (chars == ord(" ")) | (chars == ord("\t"))):
+    """The pairs of data as one np.loadtxt parse, an (r, 2) int64 array; or
+    None unless data is ASCII, each '#' starts a line and each CR is in a
+    CRLF (loadtxt cuts a comment from mid-line, and reads a lone CR in a
+    comment as comment text), loadtxt neither fails nor warns (ids past
+    int64, no pairs, a float token numpy 1.x reads as an integer), and the
+    result has two columns and no negative id. To turn its warnings into
+    errors, the call changes the process's warning filters while it runs."""
+    if not data.isascii() or data.count(b"\r") != data.count(b"\r\n"):
         return None
-    padded = np.zeros(chars.size + 2, dtype=bool)
-    padded[1:-1] = digit
-    bounds = np.flatnonzero(padded[1:] != padded[:-1])  # token starts and stops
-    starts, stops = bounds[0::2], bounds[1::2]
-    if starts.size % 2 or np.any(stops - starts > _MAX_DIGITS):
+    if data.count(b"#") != data.count(b"\n#") + data.startswith(b"#"):
         return None
-    line = np.searchsorted(np.flatnonzero(newline), starts)
-    if np.any(line[0::2] != line[1::2]) or np.any(line[2::2] == line[1:-1:2]):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            pairs = np.loadtxt(io.BytesIO(data), np.int64, comments="#", ndmin=2)
+        except (ValueError, Warning):
+            return None
+    if pairs.shape[1] != 2 or np.any(pairs < 0):
         return None
-    if not starts.size:  # np.fromstring reads blank text as one 0
-        return np.zeros((0, 2), dtype=np.int64)
-    return np.fromstring(data, dtype=np.int64, sep=" ").reshape(-1, 2)
+    return pairs
 
 
 def read_int_pairs(data: bytes) -> np.ndarray:
     """The pairs of any pair file (an edge list, membership.txt,
-    superedges.txt) as the (r, 2) array of parse_int_pairs. Data it rejects
-    (comments, signs, CRLF endings, longer ids, errors) is tokenized line by
-    line into the same array, raising EdgeListParseError at the first line
-    at fault. Ids past int64 make it dtype=object, of exact ints: numpy
-    infers [2**63, 1] as float64."""
+    superedges.txt) as the (r, 2) array of parse_int_pairs. Data it refuses
+    is tokenized line by line into the same array, raising
+    EdgeListParseError at the first line at fault. Ids past int64 make it
+    dtype=object, of exact ints: numpy infers [2**63, 1] as float64."""
     pairs = parse_int_pairs(data)
     if pairs is not None:
         return pairs

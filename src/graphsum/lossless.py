@@ -72,9 +72,9 @@ def candidate_supernodes(
     supernode always share a bucket (no false negatives).
     """
     salt = np.uint64(seed & _MASK64)
-    mixed = _mix64_array(g.targets.astype(np.uint64) ^ salt)
-    open_hash = g.row_reduce(np.add, mixed, 0)
-    closed_hash = open_hash + _mix64_array(np.arange(g.n, dtype=np.uint64) ^ salt)
+    mixed = _mix64_array(np.arange(g.n, dtype=np.uint64) ^ salt)
+    open_hash = g.row_reduce(np.add, mixed[g.targets], 0)
+    closed_hash = open_hash + mixed
     return _buckets(closed_hash), _buckets(open_hash)
 
 

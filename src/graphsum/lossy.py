@@ -166,7 +166,7 @@ def two_hop_mst(g: Graph, c: NodeCentrality) -> MergePairList:
 def _star_pair_keys(g: Graph, scores: np.ndarray) -> np.ndarray:
     """Distinct star pairs (u, v), u < v, of two_hop_mst as sorted keys u*n + v."""
     n, targets, row = g.n, g.targets, g.sources
-    by_score = np.lexsort((np.arange(n), scores))  # nodes ascending by (C, id)
+    by_score = np.argsort(scores, kind="stable")  # nodes ascending by (C, id)
     rank = np.empty(n, dtype=np.int64)
     rank[by_score] = np.arange(n)
     hub = by_score[g.row_reduce(np.minimum, rank[targets], 0)]  # per node b

@@ -20,6 +20,7 @@ O(implied edges); max_edges (the CLI's --cap-reconstruction) bounds it.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Iterable, Iterator
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
@@ -129,11 +130,11 @@ class Summary:
         if isinstance(self.superedges, PairSet):
             a, b = self.superedges.pairs
         else:
-            flat = np.fromiter(
-                itertools.chain.from_iterable(self.superedges),
-                dtype=np.int64,
-                count=2 * len(self.superedges),
-            )
+            ids = itertools.chain.from_iterable(self.superedges)
+            try:  # np.fromiter alone would cast 0.5 to 0
+                flat = np.fromiter(map(operator.index, ids), np.int64, 2 * len(self.superedges))
+            except TypeError:
+                raise ValueError("superedge ids must be integers") from None
             a, b = flat[0::2], flat[1::2]
         bad = (a < 0) | (a > b) | (b >= len(self.sizes))
         if bad.any():
@@ -275,7 +276,7 @@ def load_summary(indir: str | Path) -> Summary:
     meta_path = src / "meta.txt"
     meta = read_meta(meta_path) if meta_path.exists() else {}
     _check_count(path, meta, "n", n, "nodes")
-    bad = nodes[(nodes < 0) | (nodes >= n)]
+    bad = nodes[nodes >= n]
     if bad.size:
         raise _corrupt(path, f"node id {bad[0]} out of range 0..{n - 1}")
     repeated = np.flatnonzero(np.bincount(nodes, minlength=n) > 1)
@@ -290,7 +291,7 @@ def load_summary(indir: str | Path) -> Summary:
     _check_count(path, meta, "supernodes", k, "supernodes")
     path = src / "superedges.txt"
     pairs = _read_pairs(path)
-    unknown = pairs[((pairs < 0) | (pairs >= k)).any(axis=1)]
+    unknown = pairs[(pairs >= k).any(axis=1)]
     if unknown.size:
         a, b = unknown[0].tolist()
         raise _corrupt(path, f"superedge ({a},{b}) names an unknown supernode")

@@ -108,6 +108,21 @@ class TestLossless:
             assert captured.err == f"error: {message} is undefined\n"
         assert not (tmp_path / "lossy").exists()
 
+    @pytest.mark.parametrize("text", ["", "# header\n#\n"], ids=["empty", "comment-only"])
+    def test_edge_list_without_pairs_writes_no_stderr(self, tmp_path, text):
+        """In a fresh process, so a warning would reach stderr, not pytest's
+        warning capture."""
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "graphsum", "lossless", "--input", str(path)]
+            + ["--out", str(tmp_path / "sum")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
     def test_missing_input_is_internal_error(self, tmp_path):
         rc = main(
             ["lossless", "--input", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "o")]

@@ -107,6 +107,28 @@ def load_outcome(load, path):
     return res.graph, list(map(repr, res.original_ids)), res.duplicate_edges, res.self_loops
 
 
+SNAP_HEADER = b"# Undirected graph: g.txt\n# Nodes: 3 Edges: 3\n# FromNodeId\tToNodeId\n"
+
+# Bytes that separate, end, sign or spoil a token, or that the two parsers
+# could read differently.
+FUZZ_BYTES = [bytes([c]) for c in b"0123456789 \t#\r\n+-_.\x0b\x0c\x1c\x1d\x1e\x1f\x00\x85\xa0\xe9"]
+
+
+@st.composite
+def fuzzed_pair_lines(draw):
+    """Lines of a pair "a b" with up to three FUZZ_BYTES inserted anywhere,
+    each ended by LF or CRLF: random bytes, yet often a file that loads."""
+    token = st.sampled_from([b"0", b"1", b"17", b"9" * 19])
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        text = draw(token) + draw(st.sampled_from([b" ", b"\t"])) + draw(token)
+        for _ in range(draw(st.integers(0, 3))):
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + draw(st.sampled_from(FUZZ_BYTES)) + text[at:]
+        lines.append(text + draw(st.sampled_from([b"\n", b"\r\n"])))
+    return b"".join(lines)
+
+
 class TestArrayLoaderMatchesLineParser:
     """load_edge_list parses accepted files as one array and tokenizes the
     rest line by line; the line-by-line oracle must give the same result, or
@@ -124,25 +146,42 @@ class TestArrayLoaderMatchesLineParser:
             (b"0 1 2\n3\n", False),
             (b"12345678901234567890 1\n1 2\n", False),  # over int64
             (b"9223372036854775808 1\n", False),  # 2**63, float64 if numpy infers it
-            (b"1000000000000000000 1\n", False),  # 19 digits
+            (b"1000000000000000000 1\n", True),  # 19 digits
             (b"999999999999999999 1\n", True),  # 18 digits
-            (b"+5 1\n", False),
+            (b"+5 1\n", True),
             (b"1_0 2\n", False),
             (b"0\t1\n1 \t 2\n\t3\t0\t\n", True),
-            (b"0 1\r\n1 2\r\n", False),
+            (b"0 1\r\n1 2\r\n", True),
             (b"0 1\n1 2", True),  # no final newline
-            (b"", True),
-            (b"\n  \n\t\n", True),  # blank-only
+            (b"", False),  # loadtxt warns on no pairs
+            (b"\n  \n\t\n", False),  # blank-only
             (b"# comment\n#\n", False),  # comment-only
             (b"007 01\n1 0007\n", True),  # leading zeros
             (b"0 1\n1 \xe9\n", False),  # non-ASCII byte
             (b"5 5\n5 6\n6 5\n\n7 5\n5 7\n", True),
+            (b"# c\r7 8\n", False),
+            (b"0 1\n# c\r7 8\n", False),  # loadtxt would read the CR as comment text
+            (b"1 2 # c\n", False),  # loadtxt would cut the comment
+            (b"  # c\n1 2\n", False),
+            (b"1.0 2\n", False),
+            (b"1e3 2\n", False),
+            (b"1 2 3\n", False),
+            (b"# h\xe9\n1 2\n", False),
+            (SNAP_HEADER + b"0\t1\n1\t2\n2\t0\n", True),
+            (SNAP_HEADER.replace(b"\n", b"\r\n") + b"0\t1\r\n1\t2\r\n", True),
         ],
     )
     def test_fixture(self, tmp_path, data, array_parsed):
         path = tmp_path / "g.txt"
         path.write_bytes(data)
         assert (parse_int_pairs(data) is not None) == array_parsed
+        assert load_outcome(load_edge_list, path) == load_outcome(load_edge_lines, path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(fuzzed_pair_lines())
+    def test_random_bytes(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("fuzz") / "g.txt"
+        path.write_bytes(data)
         assert load_outcome(load_edge_list, path) == load_outcome(load_edge_lines, path)
 
     @settings(max_examples=100, deadline=None)
@@ -186,7 +225,7 @@ class TestArrayLoaderMatchesLineParser:
         text = "".join(line + eol for line in lines).encode("ascii")
         path = tmp_path_factory.mktemp("rt") / "g.txt"
         path.write_bytes(text)
-        line_path = comment or (crlf or plus) and bool(lines) or any(x >= 10**18 for x in ids)
+        line_path = not pairs or any(x >= 2**63 for x in ids)
         assert (parse_int_pairs(text) is None) == line_path
         res = load_edge_list(path)
         assert load_outcome(load_edge_list, path) == load_outcome(load_edge_lines, path)
@@ -346,6 +385,18 @@ class TestInvariants:
     def test_from_edges_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             from_edges(2, [(0, 2)])
+
+    @pytest.mark.parametrize(
+        "edges", [[(0.7, 1.9)], [("1", "2")], [(0, 1), (np.float64(1.0), 2)]], ids=str
+    )
+    def test_from_edges_rejects_non_integer_ids(self, edges):
+        # a cast would build [(0.7, 1.9)] as the edge (0, 1) and [("1", "2")] as (1, 2)
+        with pytest.raises(ValueError, match="edge ids must be integers"):
+            from_edges(3, edges)
+
+    def test_from_edges_takes_numpy_integers(self):
+        edges = [(np.int64(0), np.int32(1)), (np.uint8(2), 1)]
+        assert from_edges(3, edges) == from_edges(3, [(0, 1), (1, 2)])
 
 
 @st.composite

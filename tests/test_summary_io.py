@@ -98,6 +98,18 @@ def test_validation_rejects_noncanonical_superedge():
         Summary(np.array([0, 1]), {(1, 0)})
 
 
+@pytest.mark.parametrize("superedges", [{(0.5, 1.2)}, {("0", "1")}], ids=str)
+def test_validation_rejects_non_integer_superedge(superedges):
+    # a cast would store {(0.5, 1.2)} as the superedge (0, 1)
+    with pytest.raises(ValueError, match="superedge ids must be integers"):
+        Summary(np.array([0, 1, 2]), superedges)
+
+
+def test_superedges_of_numpy_integers_accepted():
+    s = Summary(np.array([0, 1, 2]), {(np.int64(0), np.int32(1))})
+    assert s.superedges == {(0, 1)}
+
+
 def test_validation_rejects_unknown_kind():
     # kinds are derived from the superedges, so no tag can be passed in
     with pytest.raises(TypeError):
