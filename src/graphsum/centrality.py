@@ -51,6 +51,18 @@ def _neighbor_sums(g: Graph, values: np.ndarray) -> np.ndarray:
     return np.bincount(g.sources, weights=values[g.targets], minlength=g.n)
 
 
+def _power_iteration(step, x, tol: float, max_iter: int) -> tuple[np.ndarray, int, bool]:
+    """x <- step(x) until the L1 change drops below tol, or for max_iter rounds.
+    Returns the last iterate, the rounds run and whether the change did drop."""
+    for iterations in range(1, max_iter + 1):
+        new = step(x)
+        delta = float(np.abs(new - x).sum())
+        x = new
+        if delta < tol:
+            return x, iterations, True
+    return x, max(max_iter, 0), False
+
+
 def pagerank_iteration(
     g: Graph,
     sizes: np.ndarray,
@@ -65,10 +77,9 @@ def pagerank_iteration(
         P(x) <- (1-d)|x| + d (|x| sum_{y in N(x)} P(y)/W(y) + [x clique] (|x|-1) P(x)/W(x))
 
     from P0(x) = |x|, where W(x) = sum_{y in N(x)} |y| + [x clique] (|x|-1)
-    is the degree each member of x has. Stops when the L1 change drops
-    below tol, or after max_iter rounds. Nodes with W = 0 contribute
-    nothing; the division by zero is never evaluated. Returns the totals,
-    the rounds run and whether the iteration converged.
+    is the degree each member of x has; _power_iteration runs the rounds. Nodes
+    with W = 0 contribute nothing; the division by zero is never evaluated.
+    Returns the totals, the rounds run and whether the iteration converged.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -78,20 +89,14 @@ def pagerank_iteration(
     w[clique] += sizes[clique] - 1.0
     inv_w = np.zeros(g.n)
     np.divide(1.0, w, out=inv_w, where=w > 0)
-    scores = sizes.copy()
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+
+    def step(scores: np.ndarray) -> np.ndarray:
         contrib = scores * inv_w
         new = sizes * _neighbor_sums(g, contrib)
         new[clique] += (sizes[clique] - 1.0) * contrib[clique]
-        new = (1.0 - damping) * sizes + damping * new
-        delta = float(np.abs(new - scores).sum())
-        scores = new
-        if delta < tol:
-            converged = True
-            break
-    return scores, iterations, converged
+        return (1.0 - damping) * sizes + damping * new
+
+    return _power_iteration(step, sizes.copy(), tol, max_iter)
 
 
 def pagerank(
@@ -130,28 +135,19 @@ def eigenvector_centrality(
     The start vector is uniform positive, so the iteration converges to
     the Perron vector whenever the principal eigenvalue dominates (it may
     oscillate on bipartite graphs, in which case the result is flagged).
+    With m > 0 no norm is 0: a largest entry of each iterate has a neighbor.
     """
     if g.n == 0:
         raise EmptyGraphError("eigenvector centrality of an empty graph is undefined")
     if g.m == 0:
         return NodeCentrality(np.zeros(g.n), "eigenvector", True, 0)
-    x = np.full(g.n, 1.0 / np.sqrt(g.n))
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+
+    def step(x: np.ndarray) -> np.ndarray:
         y = _neighbor_sums(g, x)
-        norm = float(np.linalg.norm(y))
-        if norm == 0.0:
-            x = y
-            converged = True
-            break
-        y /= norm
-        if float(np.abs(y - x).sum()) < tol:
-            x = y
-            converged = True
-            break
-        x = y
-    x = np.maximum(x, 0.0)  # clip float dust from entries converging to 0
+        return y / np.linalg.norm(y)
+
+    start = np.full(g.n, 1.0 / np.sqrt(g.n))
+    x, iterations, converged = _power_iteration(step, start, tol, max_iter)
     return NodeCentrality(x, "eigenvector", converged, iterations)
 
 

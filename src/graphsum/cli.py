@@ -212,6 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_iteration_flags(p):
+        p.add_argument("--damping", type=float, default=cent.DEFAULT_DAMPING)
+        p.add_argument("--tol", type=float, default=cent.DEFAULT_TOL)
+        p.add_argument("--max-iter", type=int, default=cent.DEFAULT_MAX_ITER)
+
     def add_centrality_flags(p):
         p.add_argument(
             "--centrality",
@@ -219,9 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
             default="pagerank",
             help="node centrality weighting the edges",
         )
-        p.add_argument("--damping", type=float, default=cent.DEFAULT_DAMPING)
-        p.add_argument("--tol", type=float, default=cent.DEFAULT_TOL)
-        p.add_argument("--max-iter", type=int, default=cent.DEFAULT_MAX_ITER)
+        add_iteration_flags(p)
         p.add_argument(
             "--cap-betweenness",
             type=int,
@@ -232,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lossless", help="optimal lossless summary")
     p.add_argument("--input", required=True, help="edge-list file")
     p.add_argument("--out", required=True, help="summary output directory")
-    p.add_argument("--seed", type=int, default=42, help="hash seed")
+    p.add_argument("--seed", type=int, default=lossless.DEFAULT_SEED, help="hash seed")
     p.set_defaults(func=cmd_lossless)
 
     p = sub.add_parser("lossy", help="utility-threshold summary")
@@ -240,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="summary output directory")
     p.add_argument("--tau", type=float, required=True, help="utility threshold in (0,1]")
     add_centrality_flags(p)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=lossless.DEFAULT_SEED)
     p.set_defaults(func=cmd_lossy)
 
     p = sub.add_parser("query", help="query a saved lossless summary")
@@ -248,9 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("query", choices=["triangles", "pagerank", "sssp"])
     p.add_argument("u", type=int, nargs="?", help="source node (sssp)")
     p.add_argument("v", type=int, nargs="?", help="target node (sssp)")
-    p.add_argument("--damping", type=float, default=cent.DEFAULT_DAMPING)
-    p.add_argument("--tol", type=float, default=cent.DEFAULT_TOL)
-    p.add_argument("--max-iter", type=int, default=cent.DEFAULT_MAX_ITER)
+    add_iteration_flags(p)
     p.add_argument("--out", help="also write the report into this directory")
     p.set_defaults(func=cmd_query)
 

@@ -16,7 +16,6 @@ remapping is reported so external ids survive the round trip.
 from __future__ import annotations
 
 import io
-import itertools
 import operator
 import warnings
 from dataclasses import dataclass, field
@@ -166,8 +165,8 @@ class Graph:
 
 
 def _validate_csr(offsets: np.ndarray, targets: np.ndarray) -> None:
-    if offsets.ndim != 1 or targets.ndim != 1:
-        raise ValueError("offsets and targets must be 1-d arrays")
+    if any(a.ndim != 1 or a.dtype.kind not in "iu" for a in (offsets, targets)):
+        raise ValueError("offsets and targets must be 1-d integer arrays")
     if len(offsets) == 0 or offsets[0] != 0 or offsets[-1] != len(targets):
         raise ValueError("offset array does not index the target array")
     if np.any(np.diff(offsets) < 0):
@@ -193,19 +192,26 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a Graph from (u, v) pairs.
 
     Pairs are canonicalized, duplicates merged and self-loops discarded.
-    Ids must be integers in 0..n-1; n may exceed the ids used (isolated nodes).
+    Each item must be one pair of integer ids in 0..n-1; n may exceed them.
     """
-    try:  # np.fromiter alone would cast 0.7 to 0 and "1" to 1
-        flat = np.fromiter(map(operator.index, itertools.chain.from_iterable(edges)), np.int64)
-    except TypeError:
-        raise ValueError("edge ids must be integers") from None
-    u, v = flat[0::2], flat[1::2]
+    u, v = _int_pairs(edges, "edge")
     loop = u == v
     bad = ((np.minimum(u, v) < 0) | (np.maximum(u, v) >= n)) & ~loop
     if bad.any():
         i = np.argmax(bad)
         raise ValueError(f"edge ({u[i]},{v[i]}) out of bounds for n={n}")
     return _simple_graph(n, u[~loop], v[~loop])
+
+
+def _int_pairs(items: Iterable, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs of items as two int64 arrays; ValueError unless each item is
+    one pair of ids operator.index takes (np.fromiter alone casts 0.7 to 0)."""
+    try:
+        ids = (i for x, y in items for i in (operator.index(x), operator.index(y)))
+        flat = np.fromiter(ids, np.int64)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what} ids must be integers, one pair per item") from None
+    return flat[0::2], flat[1::2]
 
 
 def _simple_graph(n: int, u: np.ndarray, v: np.ndarray) -> Graph:

@@ -41,7 +41,7 @@ import numpy as np
 from .centrality import EdgeWeightModel, NodeCentrality
 from .errors import CapExceededError
 from .graph import Graph, distinct_pair_keys, number_keys, relabel_by_first_appearance
-from .summary import PairSet, Summary
+from .summary import PairSet, Summary, pair_capacity
 
 DEFAULT_PAIR_CAP = 5_000_000
 
@@ -264,8 +264,7 @@ def _superpair_costs(
     count = np.bincount(pair)
     wsum = np.bincount(pair, weights=weights)
     a, b = np.divmod(distinct, n)
-    size = np.bincount(labels)
-    possible = np.where(a == b, size[a] * (size[a] - 1) // 2, size[a] * size[b])
+    possible = pair_capacity(np.bincount(labels), a, b)
     return a, b, (possible - count) * model.spurious_weight, wsum
 
 

@@ -19,8 +19,6 @@ O(implied edges); max_edges (the CLI's --cap-reconstruction) bounds it.
 
 from __future__ import annotations
 
-import itertools
-import operator
 from collections.abc import Iterable, Iterator
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
@@ -99,11 +97,11 @@ class Summary:
 
     Stored: membership[u], the supernode id of node u; superedges, canonical
     pairs (a, b) with a <= b, a self-pair meaning the supernode's members
-    are all joined, given as any set of tuples and kept as a PairSet; and
+    are all joined, given as any set of pairs and kept as a PairSet; and
     is_lossless. The constructor enforces what load_summary enforces on
-    disk: supernode ids are dense integers (none negative, none unused) and
-    every superedge satisfies 0 <= a <= b < k. The builders number
-    supernodes by first appearance over nodes 0..n-1.
+    disk: supernode ids are dense integers (none negative, none unused),
+    and each superedge is one integer pair with 0 <= a <= b < k. The
+    builders number supernodes by first appearance over nodes 0..n-1.
 
     Derived: sizes (np.bincount of membership) at construction, since
     validation needs them; supernodes (member lists, ascending), the
@@ -130,12 +128,7 @@ class Summary:
         if isinstance(self.superedges, PairSet):
             a, b = self.superedges.pairs
         else:
-            ids = itertools.chain.from_iterable(self.superedges)
-            try:  # np.fromiter alone would cast 0.5 to 0
-                flat = np.fromiter(map(operator.index, ids), np.int64, 2 * len(self.superedges))
-            except TypeError:
-                raise ValueError("superedge ids must be integers") from None
-            a, b = flat[0::2], flat[1::2]
+            a, b = graphmod._int_pairs(self.superedges, "superedge")
         bad = (a < 0) | (a > b) | (b >= len(self.sizes))
         if bad.any():
             i = np.argmax(bad)
@@ -206,9 +199,14 @@ class Summary:
 
     def implied_edge_count(self) -> int:
         """Number of edges a reconstruction would materialize."""
-        a, b = self.superedges.pairs
-        sa, sb = self.sizes[a], self.sizes[b]
-        return int(np.where(a == b, sa * (sa - 1) // 2, sa * sb).sum())
+        return int(pair_capacity(self.sizes, *self.superedges.pairs).sum())
+
+
+def pair_capacity(sizes: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The node pairs each superpair (a[i], b[i]) spans, for supernodes of
+    the given sizes: C(size, 2) for a self-pair, size_a * size_b otherwise."""
+    sa, sb = sizes[a], sizes[b]
+    return np.where(a == b, sa * (sa - 1) // 2, sa * sb)
 
 
 def _supernode_sizes(membership: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ from graphsum.graph import (
     write_id_map,
 )
 
-from conftest import random_graphs
+from conftest import MALFORMED_PAIRS, random_graphs
 from generators import er_graph, path_graph, spread_graph, star_graph, twin_rich_graph
 from oracles import load_edge_lines, two_hop_by_matrix_square
 
@@ -382,6 +382,16 @@ class TestInvariants:
         with pytest.raises(ValueError):
             Graph(offsets, targets)
 
+    @pytest.mark.parametrize(
+        "offsets, targets",
+        [([0, 1, 2], [True, False]), ([0.0, 1.0, 2.0], [1, 0])],
+        ids=["bool-targets", "float-offsets"],
+    )
+    def test_constructor_rejects_non_integer_arrays(self, offsets, targets):
+        # a bool CSR passes every structural check, then fails in summarize's reduceat
+        with pytest.raises(ValueError, match="integer arrays"):
+            Graph(np.array(offsets), np.array(targets))
+
     def test_from_edges_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             from_edges(2, [(0, 2)])
@@ -393,6 +403,17 @@ class TestInvariants:
         # a cast would build [(0.7, 1.9)] as the edge (0, 1) and [("1", "2")] as (1, 2)
         with pytest.raises(ValueError, match="edge ids must be integers"):
             from_edges(3, edges)
+
+    @pytest.mark.parametrize("container", [list, set])
+    @pytest.mark.parametrize("items", MALFORMED_PAIRS.values(), ids=list(MALFORMED_PAIRS))
+    def test_from_edges_rejects_items_that_are_not_one_pair(self, items, container):
+        with pytest.raises(ValueError, match="^edge ids must be integers"):
+            from_edges(4, container(items))
+
+    @pytest.mark.parametrize("container", [list, set])
+    def test_from_edges_takes_empty_input(self, container):
+        g = from_edges(3, container())
+        assert (g.n, g.m) == (3, 0)
 
     def test_from_edges_takes_numpy_integers(self):
         edges = [(np.int64(0), np.int32(1)), (np.uint8(2), 1)]
@@ -591,28 +612,34 @@ def test_no_module_calls_np_unique():
     assert found == []
 
 
-def csr_layout_reads(path: Path) -> list[str]:
-    """Each .offsets or .reduceat attribute in a module, as 'file:line name'."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-    return [
-        f"{path.name}:{node.lineno} .{node.attr}"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr in ("offsets", "reduceat")
-    ]
+def attribute_reads(wanted) -> dict[str, list[int]]:
+    """Per package module, the lines of each attribute node that wanted
+    accepts; modules with none are left out."""
+    package = Path(graph_module.__file__).parent
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and wanted(n)]
+        if lines:
+            found[path.name] = lines
+    return found
 
 
 def test_only_graph_reads_the_csr_layout():
     # other modules read a Graph through edge_arrays, sources, rows and
     # row_reduce, so its offsets layout can change in graph.py alone
-    package = Path(graph_module.__file__).parent
-    assert csr_layout_reads(package / "graph.py")  # the walk does find them
-    found = [
-        read
-        for path in sorted(package.glob("*.py"))
-        if path.name != "graph.py"
-        for read in csr_layout_reads(path)
-    ]
-    assert found == []
+    found = attribute_reads(lambda node: node.attr in ("offsets", "reduceat"))
+    assert list(found) == ["graph.py"], found  # the walk does find graph.py's
+
+
+def test_only_graph_calls_operator_index():
+    # every integer-pair intake goes through graph._int_pairs, so the rule
+    # "each item is one pair of integer ids" is written once
+    def operator_index(node):
+        owner = node.value
+        return node.attr == "index" and isinstance(owner, ast.Name) and owner.id == "operator"
+
+    assert list(attribute_reads(operator_index)) == ["graph.py"]
 
 
 def test_only_the_package_root_imports_unionfind():

@@ -20,6 +20,7 @@ from graphsum import (
 from graphsum.errors import UnsupportedSummaryError
 from graphsum.summary import VALID_KINDS, PairSet, _check_kind_lines, read_meta
 
+from conftest import MALFORMED_PAIRS
 from generators import ba_graph, er_graph, twin_rich_graph
 from oracles import summarize_naive
 
@@ -103,6 +104,19 @@ def test_validation_rejects_non_integer_superedge(superedges):
     # a cast would store {(0.5, 1.2)} as the superedge (0, 1)
     with pytest.raises(ValueError, match="superedge ids must be integers"):
         Summary(np.array([0, 1, 2]), superedges)
+
+
+@pytest.mark.parametrize("container", [list, set])
+@pytest.mark.parametrize("items", MALFORMED_PAIRS.values(), ids=list(MALFORMED_PAIRS))
+def test_validation_rejects_superedges_that_are_not_one_pair(items, container):
+    # a flat id stream stored {(0, 1, 2)} as the superedge (0, 1)
+    with pytest.raises(ValueError, match="^superedge ids must be integers"):
+        Summary(np.array([0, 1, 2, 3]), container(items))
+
+
+@pytest.mark.parametrize("container", [list, set])
+def test_empty_superedges_accepted(container):
+    assert Summary(np.array([0, 1]), container()).superedges == set()
 
 
 def test_superedges_of_numpy_integers_accepted():
