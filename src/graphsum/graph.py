@@ -35,17 +35,20 @@ class Graph:
     Nodes are 0..n-1. The adjacency of node u is the slice
     targets[offsets[u]:offsets[u+1]], strictly ascending. Construction
     validates symmetry, sortedness and the absence of self-loops (the
-    builders of this module make valid rows and skip the check); after
-    that the graph is safe for unlimited concurrent readers.
+    builders of this module make valid rows and skip the check) and holds
+    both arrays as int64, in which no pair key lo*n + hi wraps; after that
+    the graph is safe for unlimited concurrent readers.
     """
 
     offsets: np.ndarray = field(repr=False)
     targets: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        _validate_csr(self.offsets, self.targets)
-        self.offsets.setflags(write=False)
-        self.targets.setflags(write=False)
+        offsets, targets = _validate_csr(self.offsets, self.targets)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "targets", targets)
+        offsets.setflags(write=False)
+        targets.setflags(write=False)
 
     @classmethod
     def _from_valid_csr(cls, offsets: np.ndarray, targets: np.ndarray) -> Graph:
@@ -108,7 +111,7 @@ class Graph:
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The canonical edges of edges() as two read-only int64 arrays."""
         forward = self.sources < self.targets
-        u, v = self.sources[forward], self.targets[forward].astype(np.int64, copy=False)
+        u, v = self.sources[forward], self.targets[forward]
         u.setflags(write=False)
         v.setflags(write=False)
         return u, v
@@ -164,9 +167,12 @@ class Graph:
             raise IndexError(f"node id {u} out of range for n={self.n}")
 
 
-def _validate_csr(offsets: np.ndarray, targets: np.ndarray) -> None:
+def _validate_csr(offsets: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """offsets and targets as int64 arrays, or ValueError unless they are a
+    valid CSR. Narrower ints would wrap in the differences and keys below."""
     if any(a.ndim != 1 or a.dtype.kind not in "iu" for a in (offsets, targets)):
         raise ValueError("offsets and targets must be 1-d integer arrays")
+    offsets, targets = (a.astype(np.int64, copy=False) for a in (offsets, targets))
     if len(offsets) == 0 or offsets[0] != 0 or offsets[-1] != len(targets):
         raise ValueError("offset array does not index the target array")
     if np.any(np.diff(offsets) < 0):
@@ -186,6 +192,7 @@ def _validate_csr(offsets: np.ndarray, targets: np.ndarray) -> None:
     backward = np.sort(targets * n + src)
     if not np.array_equal(forward, backward):
         raise ValueError("adjacency is not symmetric")
+    return offsets, targets
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -302,6 +309,33 @@ def stable_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = packed & ((1 << shift) - 1)
     packed >>= shift
     return order, packed
+
+
+def component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per node 0..n-1, the smallest node of its connected component in the
+    graph whose edges are the pairs (u[i], v[i]) of ids in 0..n-1 (int64).
+
+    Min-label hooking with pointer jumping (FastSV, after Shiloach and
+    Vishkin): each round hooks every pair's two labels to the smaller one
+    by np.minimum.at, then jumps pointers to a fixed point, and drops the
+    pairs whose ends now share a label. Labels only fall and always name a
+    node of the same component, so its smallest node keeps its own label;
+    it ends when no pair is left, the round after which none would change."""
+    labels = np.arange(n, dtype=np.int64)
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    lu, lv = u, v  # the labels of the ends, so far the ends themselves
+    while True:
+        apart = lu != lv
+        if not apart.any():
+            return labels
+        u, v, lu, lv = u[apart], v[apart], lu[apart], lv[apart]
+        low = np.minimum(lu, lv)
+        np.minimum.at(labels, lu, low)
+        np.minimum.at(labels, lv, low)
+        while not np.array_equal(jumped := labels[labels], labels):
+            labels = jumped
+        lu, lv = labels[u], labels[v]
 
 
 def number_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

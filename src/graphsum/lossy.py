@@ -9,13 +9,11 @@ pair list. Utility is non-increasing as the sorted forest edges are merged
 in order, so the largest merge prefix that keeps utility above the threshold
 is found by binary search.
 
-No partition replays the merges. Each candidate list builds, once, its
-merge tree: the single-linkage dendrogram of its pairs (Gower & Ross 1969),
-in which merge e is a tree node above the two sets it joins. The partition
-after any prefix is a cut of that tree, and pointer jumping over the tree's
-parent array, truncated at the cut, gives every node its set's smallest
-node in a few gathers. That per-node label array is the one partition form:
-merge_prefix reads it off the tree, and compute_utility and
+No partition replays the merges. The partition after a prefix is the
+connected components of its pairs, each labelled by its smallest node:
+merge_prefix computes it by graph.component_labels (min-label hooking
+with pointer jumping) over the prefix of the list's cached ends array.
+That per-node label array is the one partition form: compute_utility and
 build_superedges_lossy take it. Each probe of the search is one
 merge_prefix and one compute_utility call, and the best passing probe's
 labels give the summary.
@@ -40,7 +38,8 @@ import numpy as np
 
 from .centrality import EdgeWeightModel, NodeCentrality
 from .errors import CapExceededError
-from .graph import Graph, distinct_pair_keys, number_keys, relabel_by_first_appearance
+from .graph import Graph, component_labels, distinct_pair_keys, number_keys
+from .graph import relabel_by_first_appearance
 from .summary import PairSet, Summary, pair_capacity
 
 DEFAULT_PAIR_CAP = 5_000_000
@@ -50,7 +49,8 @@ TIE_BREAK_RULE = "weight,min-id,max-id"
 
 @dataclass(frozen=True)
 class MergePairList:
-    """Candidate merge pairs in ascending weight order (ties by node ids)."""
+    """Candidate merge pairs in ascending weight order (ties by node ids).
+    Their ends are also held as one int64 array, ends, for merge_prefix."""
 
     pairs: list[tuple[int, int]] = field(repr=False)
     weights: list[float] = field(repr=False)
@@ -63,65 +63,20 @@ class MergePairList:
             raise ValueError(f"{len(self.pairs)} merge pairs but {len(self.weights)} weights")
         if np.any(np.diff(self.weights) < 0):
             raise ValueError("merge pair weights must be ascending")
-        if min(map(min, self.pairs), default=0) < 0:
+        if self.ends.min(initial=0) < 0:
             raise ValueError("merge pairs must name nodes 0 and up")
 
     @cached_property
-    def merge_tree(self) -> MergeTree:
-        """The merge tree of pairs, built on first use and then shared by
-        every search over this list."""
-        return MergeTree(self.pairs)
-
-
-class MergeTree:
-    """The single-linkage dendrogram of a candidate list, from one union
-    pass over its pairs.
-
-    Leaves are the nodes 0..leaves-1, leaves being one more than the
-    largest id in the list. The e-th successful union becomes tree node
-    leaves + e, the parent of the tree nodes on top of the two sets it
-    joins, so ids rise towards each root (a root is its own parent); a
-    redundant pair adds no node. smallest[x] is the smallest leaf under x
-    and merged[t] the successful unions among the first t pairs.
-    """
-
-    def __init__(self, pairs: list[tuple[int, int]]):
-        leaves = 1 + max(map(max, pairs), default=-1)
-        parent = list(range(leaves))
-        smallest = parent.copy()
-        jump = parent.copy()  # towards the top of each set, halved on each walk
-        joined = []
-        for u, v in pairs:
-            while jump[u] != u:
-                jump[u] = u = jump[jump[u]]
-            while jump[v] != v:
-                jump[v] = v = jump[jump[v]]
-            joined.append(u != v)
-            if u != v:  # u and v are now the tree nodes on top of the two sets
-                node = len(parent)
-                parent[u] = parent[v] = jump[u] = jump[v] = node
-                parent.append(node)
-                jump.append(node)
-                smallest.append(min(smallest[u], smallest[v]))
-        self.leaves = leaves
-        self.parent = np.array(parent, dtype=np.int64)
-        self.smallest = np.array(smallest, dtype=np.int64)
-        self.merged = np.concatenate(([0], np.cumsum(joined, dtype=np.int64)))
-
-    def labels(self, n: int, t: int) -> np.ndarray:
-        """Per node of an n-node graph, the smallest node of its set after
-        the first t pairs: the smallest leaf under its highest ancestor
-        below leaves + merged[t]. Ancestor ids rise, so that ancestor is
-        the root of the tree cut there: the parent array truncated at the
-        cut, with every parent above it made a root."""
-        if self.leaves > n:
-            raise ValueError(f"candidate node {self.leaves - 1} out of range 0..{n - 1}")
-        limit = self.leaves + self.merged[t]
-        parent = self.parent[:limit]
-        top = _roots(np.where(parent < limit, parent, np.arange(limit)))
-        labels = np.arange(n)
-        labels[: self.leaves] = self.smallest[top[: self.leaves]]
-        return labels
+    def ends(self) -> np.ndarray:
+        """The two ends of the pairs as the rows of one read-only (2, len)
+        int64 array, built once and read by every probe of every search
+        over this list."""
+        ends = np.asarray(self.pairs)
+        if len(ends) and (ends.ndim != 2 or ends.shape[1] != 2 or ends.dtype.kind not in "iu"):
+            raise ValueError("merge pairs must be pairs of integer node ids")
+        ends = np.ascontiguousarray(ends.reshape(-1, 2).T, dtype=np.int64)
+        ends.setflags(write=False)
+        return ends
 
 
 def two_hop_mst(g: Graph, c: NodeCentrality) -> MergePairList:
@@ -206,22 +161,17 @@ def full_candidate_list(
 
 
 def merge_prefix(g: Graph, candidates: MergePairList, t: int) -> np.ndarray:
-    """Partition after merging the first t candidate pairs from singletons,
-    read off the list's merge tree: per node, the smallest node of its set
-    (int64). A list naming a node outside g raises ValueError."""
+    """Partition after merging the first t candidate pairs from singletons:
+    per node, the smallest node of its set (int64), which is its connected
+    component in the graph of those pairs (graph.component_labels over the
+    list's cached ends). A list naming a node outside g raises ValueError."""
     if not 0 <= t <= len(candidates):
         raise ValueError(f"prefix length {t} out of range 0..{len(candidates)}")
-    return candidates.merge_tree.labels(g.n, t)
-
-
-def _roots(parent: np.ndarray) -> np.ndarray:
-    """The root of every node of the forest a parent array gives (a root is
-    its own parent), by pointer jumping; parent is not touched."""
-    while True:
-        jumped = parent[parent]
-        if np.array_equal(jumped, parent):
-            return parent
-        parent = jumped
+    top = candidates.ends.max(initial=-1)
+    if top >= g.n:
+        raise ValueError(f"candidate node {top} out of range 0..{g.n - 1}")
+    u, v = candidates.ends
+    return component_labels(g.n, u[:t], v[:t])
 
 
 def _checked_labels(g: Graph, labels: np.ndarray) -> np.ndarray:
@@ -317,13 +267,12 @@ def summarize_lossy(
 
     Utility is non-increasing along the sorted forest edges, so the probe
     at each midpoint decides the half to keep. A probe is merge_prefix,
-    which reads the partition off the candidate list's merge tree (built
-    once per list, see MergeTree), then compute_utility over the model's
-    cached edge weights. The longest passing probe's labels and utility
-    are the result's; build_superedges_lossy derives the summary from
-    those labels. Prefix 0 (all singletons) has utility exactly 1.0, so
-    the search always ends on a prefix it probed. An explicit candidate
-    list can replace the computed spanning forest.
+    the connected components of the prefix's pairs, then compute_utility
+    over the model's cached edge weights. The longest passing probe's
+    labels and utility are the result's; build_superedges_lossy derives
+    the summary from those labels. Prefix 0 (all singletons) has utility
+    exactly 1.0, so the search always ends on a prefix it probed. An
+    explicit candidate list can replace the computed spanning forest.
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must lie in (0, 1], got {tau}")

@@ -134,7 +134,11 @@ class Summary:
             i = np.argmax(bad)
             raise ValueError(f"superedge ({a[i]},{b[i]}) is not canonical")
         if not isinstance(self.superedges, PairSet):
-            order = np.argsort(a * len(self.sizes) + b)
+            order, keys = graphmod.stable_order(a * len(self.sizes) + b)
+            repeat = np.flatnonzero(keys[1:] == keys[:-1])
+            if repeat.size:
+                i = order[repeat[0]]
+                raise ValueError(f"superedge ({a[i]},{b[i]}) is repeated")
             self.superedges = PairSet(a[order], b[order])
 
     @property

@@ -559,6 +559,23 @@ def replayed_prefix_labels(n: int, pairs) -> Iterator[list[int]]:
         yield labels
 
 
+def union_find_min_labels(n: int, pairs) -> list[int]:
+    """Per node 0..n-1, the smallest node of its component in the graph of
+    pairs, by a union-find whose every root is its set's smallest node: of
+    two roots, the larger joins the smaller."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for u, v in pairs:
+        a, b = sorted((find(u), find(v)))
+        parent[b] = a
+    return [find(x) for x in range(n)]
+
+
 def load_edge_lines(path: str | Path) -> LoadResult:
     """load_edge_list one line at a time, compacting ids through a dict."""
     remap: dict[int, int] = {}

@@ -21,6 +21,7 @@ from graphsum import (
 from graphsum import graph as graph_module
 from graphsum.graph import (
     Graph,
+    component_labels,
     number_keys,
     parse_int_pairs,
     relabel_by_first_appearance,
@@ -30,7 +31,7 @@ from graphsum.graph import (
 
 from conftest import MALFORMED_PAIRS, random_graphs
 from generators import er_graph, path_graph, spread_graph, star_graph, twin_rich_graph
-from oracles import load_edge_lines, two_hop_by_matrix_square
+from oracles import load_edge_lines, two_hop_by_matrix_square, union_find_min_labels
 
 
 def write_lines(tmp_path, lines, name="g.txt"):
@@ -392,6 +393,28 @@ class TestInvariants:
         with pytest.raises(ValueError, match="integer arrays"):
             Graph(np.array(offsets), np.array(targets))
 
+    @pytest.mark.parametrize("n, dtype", [(30, np.uint8), (200, np.int16)])
+    def test_constructor_takes_narrow_integer_arrays(self, n, dtype):
+        # the symmetry keys targets * n + src used to wrap in the targets' dtype
+        g = path_graph(n)
+        narrow = Graph(g.offsets.astype(dtype), g.targets.astype(dtype))
+        assert narrow == g
+        assert narrow.offsets.dtype == narrow.targets.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "offsets, targets, message",
+        [
+            ([0, 1, 2, 2], [2, 0], "not symmetric"),  # 0-2 without 2-0
+            ([0, 2, 3, 4], [2, 1, 0, 0], "strictly ascending"),  # row 0 is [2, 1]
+            ([0, 3, 1, 2], [1, 0], "non-decreasing"),
+        ],
+        ids=["asymmetric", "descending-row", "falling-offsets"],
+    )
+    def test_constructor_rejects_narrow_invalid_arrays(self, offsets, targets, message):
+        # in uint8, 1 - 2 is 255: differences must not wrap either
+        with pytest.raises(ValueError, match=message):
+            Graph(np.array(offsets, dtype=np.uint8), np.array(targets, dtype=np.uint8))
+
     def test_from_edges_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             from_edges(2, [(0, 2)])
@@ -588,6 +611,58 @@ class TestKeyKernel:
         assert labels.tolist() == values
 
 
+def path_ids(order: str, n: int) -> np.ndarray:
+    """The node ids 0..n-1 (n even) in the order a path visits them."""
+    if order == "ascending":
+        return np.arange(n)
+    if order == "descending":
+        return np.arange(n)[::-1]
+    if order == "zigzag":  # 0, n-1, 1, n-2, ...
+        return np.stack([np.arange(n // 2), np.arange(n - 1, n // 2 - 1, -1)], axis=1).ravel()
+    return np.random.default_rng(11).permutation(n)
+
+
+class TestComponentLabels:
+    """The one connected-components kernel against a union-find whose roots
+    are their sets' smallest nodes."""
+
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["path-order", "shuffled"])
+    @pytest.mark.parametrize("order", ["ascending", "descending", "zigzag", "random"])
+    def test_long_paths(self, order, shuffled):
+        # random ids along a path take the most hooking rounds
+        n = 20_000
+        ids = path_ids(order, n)
+        u, v = ids[:-1], ids[1:]
+        if shuffled:
+            at = np.random.default_rng(3).permutation(n - 1)
+            u, v = u[at], v[at]
+        u.setflags(write=False)
+        v.setflags(write=False)
+        assert not component_labels(n, u, v).any()  # one component, labelled 0
+        for t in (1, n // 3, n - 2):
+            expected = union_find_min_labels(n, zip(u[:t].tolist(), v[:t].tolist()))
+            assert component_labels(n, u[:t], v[:t]).tolist() == expected, t
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_no_pairs(self, n):
+        none = np.array([], dtype=np.int64)
+        labels = component_labels(n, none, none)
+        assert labels.dtype == np.int64
+        assert labels.tolist() == list(range(n))
+
+    def test_self_repeated_and_reversed_pairs(self):
+        u, v = np.array([3, 2, 1, 1, 4, 3]), np.array([3, 1, 2, 1, 3, 4])
+        assert component_labels(6, u, v).tolist() == [0, 1, 1, 3, 3, 5]
+        assert component_labels(6, u[:1], v[:1]).tolist() == list(range(6))
+
+    @settings(max_examples=100, deadline=None)
+    @given(loop_free_edge_arrays())
+    def test_random_pairs(self, case):
+        n, u, v = case
+        expected = union_find_min_labels(n, zip(u.tolist(), v.tolist()))
+        assert component_labels(n, u, v).tolist() == expected
+
+
 def grouping_calls(source: str) -> list[int]:
     """The lines of each call of a numpy unique* function in source."""
     return [
@@ -643,8 +718,8 @@ def test_only_graph_calls_operator_index():
 
 
 def test_only_the_package_root_imports_unionfind():
-    # the lossy partitions are label arrays read off the merge tree; the
-    # union-find class stays exported, but no library module runs it
+    # the lossy partitions are label arrays from graph.component_labels;
+    # the union-find class stays exported, but no library module runs it
     package = Path(graph_module.__file__).parent
     importers = []
     for path in sorted(package.glob("*.py")):

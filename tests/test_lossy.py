@@ -451,6 +451,12 @@ class TestSummarizeLossy:
         with pytest.raises(ValueError, match="nodes 0 and up"):
             MergePairList([(0, 2), (-1, 2)], [1.0, 1.0])
 
+    @pytest.mark.parametrize("pairs", [[(0.5, 2)], [(0, 1, 2)], [()]], ids=str)
+    def test_candidate_pairs_must_be_integer_pairs(self, pairs):
+        # a cast to int64 would merge node 0 where the list says 0.5
+        with pytest.raises(ValueError, match="pairs of integer node ids"):
+            MergePairList(pairs, [1.0])
+
     def test_er_frozen_instance(self):
         g = er_graph(80, 0.15, 8)
         model = build_weight_model(g, pagerank(g))
@@ -658,9 +664,9 @@ class TestNumberKeys:
 
 def assert_probes_match_replay(g, model, candidates):
     """At every prefix 0..len, the probe of summarize_lossy (merge_prefix,
-    read off the merge tree) gives the replayed partition (each node
-    labelled by its smallest set-mate), and compute_utility gives exactly
-    the loop oracle's utility of it."""
+    the components of the prefix's pairs) gives the replayed partition
+    (each node labelled by its smallest set-mate), and compute_utility
+    gives exactly the loop oracle's utility of it."""
     replayed = replayed_prefix_labels(g.n, candidates.pairs)
     for t, expected in enumerate(replayed):
         partition = merge_prefix(g, candidates, t)
@@ -671,6 +677,9 @@ def assert_probes_match_replay(g, model, candidates):
 
 
 class TestMergeTreeProbes:
+    """The probe labels of merge_prefix: the connected components of each
+    prefix, against the partitions replayed one merge at a time."""
+
     @pytest.mark.parametrize("centrality", [uniform_centrality, degree_centrality, pagerank])
     @pytest.mark.parametrize("family", ["er", "ba", "twin"])
     def test_every_forest_prefix(self, family, centrality):
@@ -707,23 +716,17 @@ class TestMergeTreeProbes:
         assert_probes_match_replay(g, model, MergePairList(pairs, weights))
 
     def test_deep_chain_list(self):
-        # the pairs (0, 1), (1, 2), ... in order build a caterpillar: every
-        # merge sits on the one before, so leaf 0 is 30 tree nodes deep and
-        # _roots runs many pointer-jumping rounds
+        # the pairs (0, 1), (1, 2), ... in order join a caterpillar: every
+        # merge grows the set of the one before, so node 0 is 30 merges deep
         g = er_graph(40, 0.15, 5)
         model = build_weight_model(g, degree_centrality(g))
         chain = MergePairList([(u, u + 1) for u in range(30)], [1.0] * 30)
-        tree = chain.merge_tree
-        depth, node = 0, 0
-        while tree.parent[node] != node:
-            depth, node = depth + 1, tree.parent[node]
-        assert depth == 30
         assert_probes_match_replay(g, model, chain)
         assert_matches_loop(g, model, merge_prefix(g, chain, 30))
 
     def test_random_lists_with_redundant_pairs(self):
         # random pairs join sets in random order; many close a cycle or
-        # repeat a pair, and add no tree node
+        # repeat a pair, and join nothing
         for seed in range(10):
             rng = random.Random(seed)
             g = er_graph(50, 0.12, seed)
@@ -735,28 +738,31 @@ class TestMergeTreeProbes:
             assert_matches_loop(g, model, merge_prefix(g, candidates, size))
 
     def test_nodes_beyond_the_list_stay_singletons(self):
-        # the tree's leaves stop at the largest listed node, 7
+        # the largest listed node is 7; nodes 8 and 9 are in no pair
         g = from_edges(10, [(0, 1), (1, 2), (2, 3), (3, 7), (7, 8), (8, 9)])
         pinned = MergePairList([(0, 2), (1, 3), (2, 7)], [1.0, 1.0, 2.0])
-        assert pinned.merge_tree.leaves == 8
-        assert pinned.merge_tree.labels(g.n, 3).tolist() == [0, 1, 0, 1, 4, 5, 6, 0, 8, 9]
+        assert merge_prefix(g, pinned, 3).tolist() == [0, 1, 0, 1, 4, 5, 6, 0, 8, 9]
         assert_probes_match_replay(g, build_weight_model(g, degree_centrality(g)), pinned)
-        with pytest.raises(ValueError, match="out of range"):
-            pinned.merge_tree.labels(7, 0)
+        with pytest.raises(ValueError, match="candidate node 7 out of range 0..6"):
+            merge_prefix(path_graph(7), pinned, 0)
 
     def test_empty_list(self):
         g = path_graph(3)
         empty = MergePairList([], [])
-        assert empty.merge_tree.labels(g.n, 0).tolist() == [0, 1, 2]
+        assert merge_prefix(g, empty, 0).tolist() == [0, 1, 2]
+        with pytest.raises(ValueError, match="prefix length 1 out of range 0..0"):
+            merge_prefix(g, empty, 1)
         model = build_weight_model(g, uniform_centrality(g))
         res = summarize_lossy(g, model, 0.5, candidates=empty)
         assert (res.prefix_length, res.utility) == (0, 1.0)
 
-    def test_one_tree_serves_every_search(self):
+    def test_one_ends_array_serves_every_search(self):
         g = er_graph(80, 0.15, 8)
         model = build_weight_model(g, pagerank(g))
         forest = two_hop_mst(g, model.node_centrality)
-        assert forest.merge_tree is forest.merge_tree
+        ends = forest.ends
+        assert not ends.flags.writeable
+        assert ends.tolist() == [[u for u, _ in forest.pairs], [v for _, v in forest.pairs]]
         for tau in (0.9, 0.6, 0.75):
             shared = summarize_lossy(g, model, tau, candidates=forest)
             copy = MergePairList(forest.pairs, forest.weights)
@@ -764,6 +770,7 @@ class TestMergeTreeProbes:
             assert (shared.prefix_length, shared.utility) == (fresh.prefix_length, fresh.utility)
             assert shared.summary.membership.tolist() == fresh.summary.membership.tolist()
             assert shared.summary.superedges == fresh.summary.superedges
+            assert forest.ends is ends
 
     def test_probes_go_through_the_public_functions(self, monkeypatch):
         g = er_graph(80, 0.15, 8)

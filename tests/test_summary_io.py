@@ -99,6 +99,14 @@ def test_validation_rejects_noncanonical_superedge():
         Summary(np.array([0, 1]), {(1, 0)})
 
 
+@pytest.mark.parametrize("superedges", [[(0, 1), (0, 1)], [(1, 1), (0, 1), (1, 1)]], ids=str)
+def test_validation_rejects_repeated_superedge(superedges):
+    # a list may repeat a pair a set cannot; the loader merges repeated lines
+    first = superedges[0]
+    with pytest.raises(ValueError, match=rf"^superedge \({first[0]},{first[1]}\) is repeated$"):
+        Summary(np.array([0, 1]), superedges)
+
+
 @pytest.mark.parametrize("superedges", [{(0.5, 1.2)}, {("0", "1")}], ids=str)
 def test_validation_rejects_non_integer_superedge(superedges):
     # a cast would store {(0.5, 1.2)} as the superedge (0, 1)
