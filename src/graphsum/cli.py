@@ -41,8 +41,10 @@ FLAG_RANGES = {
     "tau": (lambda x: 0.0 < x <= 1.0, "lie in (0, 1]"),
     "top_percent": (lambda x: 0.0 < x <= 100.0, "lie in (0, 100]"),
     "damping": (lambda x: 0.0 <= x <= 1.0, "lie in [0, 1]"),
-    "tol": (lambda x: x > 0.0, "be positive"),
+    "tol": (lambda x: 0.0 < x < math.inf, "be positive and finite"),
     "max_iter": (lambda x: x >= 1, "be at least 1"),
+    "cap_betweenness": (lambda x: x >= 0, "be at least 0"),
+    "cap_reconstruction": (lambda x: x >= 0, "be at least 0"),
 }
 
 # One entry per name in centrality.CENTRALITY_KINDS.

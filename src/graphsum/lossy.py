@@ -2,12 +2,12 @@
 
 The merge candidates are the edges of the 2-hop graph (pairs sharing at
 least one common neighbor) weighted by C_u + C_v. Their minimum spanning
-forest under (weight, min id, max id), Kruskal over the star pairs of each
-neighborhood's lightest node (plus its near-ties, see two_hop_mst), is a
-sufficient candidate list: it yields the same summaries as the full sorted
-pair list. Utility is non-increasing as the sorted forest edges are merged
-in order, so the largest merge prefix that keeps utility above the threshold
-is found by binary search.
+forest under (weight, min id, max id), found by Boruvka rounds over the
+star pairs of each neighborhood's lightest node (plus its near-ties, see
+two_hop_mst), is a sufficient candidate list: it yields the same summaries
+as the full sorted pair list. Utility is non-increasing as the sorted
+forest edges are merged in order, so the largest merge prefix that keeps
+utility above the threshold is found by binary search.
 
 No partition replays the merges. The partition after a prefix is the
 connected components of its pairs, each labelled by its smallest node:
@@ -81,41 +81,39 @@ class MergePairList:
 
 def two_hop_mst(g: Graph, c: NodeCentrality) -> MergePairList:
     """The minimum spanning forest of the 2-hop graph under (C_u + C_v,
-    min id, max id), in that order: Kruskal over star pairs. Each N(b) is a
-    2-hop clique; with h(b) its lightest node by (C, id), a pair (y, x) of
-    N(b) avoiding h(b) is the strict maximum of the triangle (h(b), y, x),
-    so only the (at most 2m) star pairs (h(b), x) are sorted. Rounding can
-    tie C_h + C_x with C_y + C_x when C_y is a few ulps above C_h: such a
-    near-hub y keeps its own star pairs too. The union pass runs over
-    plain lists with path halving and union by size; the pairs and weights
-    it keeps are read off the sorted arrays at the positions of the
-    unions that join two sets."""
+    min id, max id), in that order, over star pairs. Each N(b) is a 2-hop
+    clique; with h(b) its lightest node by (C, id), a pair (y, x) of N(b)
+    avoiding h(b) is the strict maximum of the triangle (h(b), y, x), so
+    only the (at most 2m) star pairs (h(b), x) are sorted. Rounding can tie
+    C_h + C_x with C_y + C_x when C_y is a few ulps above C_h: such a
+    near-hub y keeps its own star pairs too. Stable-sorted by weight, the
+    pairs' positions follow the strict order (weight, min id, max id), which
+    has one minimum forest: each Boruvka round, every component picks its
+    least position to another (np.minimum.at), graph.component_labels merges
+    the picks, and the picked positions, ascending, are Kruskal's forest."""
     if len(c) != g.n:
         raise ValueError("centrality length does not match graph")
     n = g.n
     scores = np.asarray(c.scores, dtype=np.float64)
     keys = _star_pair_keys(g, scores)
-    weights = scores[keys // n] + scores[keys % n]
-    order = np.argsort(weights, kind="stable")  # ties keep keys ascending by (lo, hi)
-    keys, weights = keys[order], weights[order]
-    del order  # m-sized: freed before the loop's key list
-    parent = list(range(n))
-    size = [1] * n
-    joined = []  # positions in keys of the unions that join two sets
-    for i, key in enumerate(keys.tolist()):
-        u, v = divmod(key, n)
-        while parent[u] != u:
-            parent[u] = u = parent[parent[u]]
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        if u != v:
-            if size[u] < size[v]:
-                u, v = v, u
-            parent[v] = u
-            size[u] += size[v]
-            joined.append(i)
-    lo, hi = np.divmod(keys[joined], n)
-    return MergePairList(list(zip(lo.tolist(), hi.tolist())), weights[joined].tolist())
+    # a stable sort by weight keeps ties ascending by key, that is by (lo, hi)
+    lo, hi = np.divmod(keys[np.argsort(scores[keys // n] + scores[keys % n], kind="stable")], n)
+    del keys  # m-sized: freed before the rounds
+    labels = np.arange(n, dtype=np.int64)  # each node's component, by its smallest node
+    live = np.arange(len(lo))  # positions whose ends lie in two components
+    picked = np.zeros(len(lo), dtype=bool)
+    while len(live):
+        lu, lv = labels[lo[live]], labels[hi[live]]
+        least = np.full(n, len(lo))  # per component, its least live position
+        np.minimum.at(least, lu, live)
+        np.minimum.at(least, lv, live)
+        pick = (least[lu] == live) | (least[lv] == live)
+        picked[live[pick]] = True
+        labels = component_labels(n, lu[pick], lv[pick])[labels]
+        del lu, lv  # m-sized: freed before the next live positions
+        live = live[labels[lo[live]] != labels[hi[live]]]
+    lo, hi = lo[picked], hi[picked]
+    return MergePairList(list(zip(lo.tolist(), hi.tolist())), (scores[lo] + scores[hi]).tolist())
 
 
 def _star_pair_keys(g: Graph, scores: np.ndarray) -> np.ndarray:

@@ -22,12 +22,15 @@ from graphsum import (
     EdgeWeightModel,
     Graph,
     LoadResult,
+    MergePairList,
+    NodeCentrality,
     Summary,
     from_edges,
 )
 from graphsum.evaluate import LosslessnessReport
 from graphsum.graph import _simple_graph
 from graphsum.lossless import _assemble
+from graphsum.lossy import _star_pair_keys
 from graphsum.summary import DEFAULT_RECONSTRUCT_CAP
 
 
@@ -574,6 +577,41 @@ def union_find_min_labels(n: int, pairs) -> list[int]:
         a, b = sorted((find(u), find(v)))
         parent[b] = a
     return [find(x) for x in range(n)]
+
+
+def kruskal_star_forest(g: Graph, c: NodeCentrality) -> MergePairList:
+    """two_hop_mst by Kruskal over the same sorted star pairs: one union
+    pass over plain lists with path halving and union by size; the pairs
+    and weights it keeps are read off the sorted arrays at the positions
+    of the unions that join two sets. It shares _star_pair_keys with
+    two_hop_mst; kruskal_over_full_list in the lossy tests checks those
+    pairs against every 2-hop pair."""
+    if len(c) != g.n:
+        raise ValueError("centrality length does not match graph")
+    n = g.n
+    scores = np.asarray(c.scores, dtype=np.float64)
+    keys = _star_pair_keys(g, scores)
+    weights = scores[keys // n] + scores[keys % n]
+    order = np.argsort(weights, kind="stable")  # ties keep keys ascending by (lo, hi)
+    keys, weights = keys[order], weights[order]
+    del order  # m-sized: freed before the loop's key list
+    parent = list(range(n))
+    size = [1] * n
+    joined = []  # positions in keys of the unions that join two sets
+    for i, key in enumerate(keys.tolist()):
+        u, v = divmod(key, n)
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            if size[u] < size[v]:
+                u, v = v, u
+            parent[v] = u
+            size[u] += size[v]
+            joined.append(i)
+    lo, hi = np.divmod(keys[joined], n)
+    return MergePairList(list(zip(lo.tolist(), hi.tolist())), weights[joined].tolist())
 
 
 def load_edge_lines(path: str | Path) -> LoadResult:

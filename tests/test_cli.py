@@ -591,9 +591,14 @@ class TestFlagRanges:
         [
             (["--damping", "3"], "--damping must lie in [0, 1], got 3.0"),
             (["--damping", "-0.5"], "--damping must lie in [0, 1], got -0.5"),
-            (["--tol", "0"], "--tol must be positive, got 0.0"),
+            (["--tol", "0"], "--tol must be positive and finite, got 0.0"),
             (["--max-iter", "0"], "--max-iter must be at least 1, got 0"),
             (["--max-iter", "-3"], "--max-iter must be at least 1, got -3"),
+            (["--tol", "inf"], "--tol must be positive and finite, got inf"),
+            (
+                ["--centrality", "betweenness", "--cap-betweenness", "-3"],
+                "--cap-betweenness must be at least 0, got -3",
+            ),
         ],
     )
     def test_lossy(self, er_file, tmp_path, capsys, flags, message):
@@ -609,7 +614,7 @@ class TestFlagRanges:
         "flags, message",
         [
             (["--damping", "3"], "--damping must lie in [0, 1], got 3.0"),
-            (["--tol=-1e-9"], "--tol must be positive, got -1e-09"),
+            (["--tol=-1e-9"], "--tol must be positive and finite, got -1e-09"),
             (["--max-iter", "-3"], "--max-iter must be at least 1, got -3"),
         ],
     )
@@ -625,6 +630,30 @@ class TestFlagRanges:
         argv = ["eval", "--summary", str(lossy_dir), "--metric", "app-utility"]
         assert main([*argv, "--input", str(er_file), "--top-percent", "0"]) == 2
         assert capsys.readouterr().err == "error: --top-percent must lie in (0, 100], got 0.0\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (
+                ["--metric", "verify-lossless", "--cap-reconstruction", "-1"],
+                "--cap-reconstruction must be at least 0, got -1",
+            ),
+            (
+                ["--metric", "app-utility", "--centrality", "betweenness", "--cap-betweenness", "-3"],
+                "--cap-betweenness must be at least 0, got -3",
+            ),
+            (["--metric", "app-utility", "--tol", "inf"], "--tol must be positive and finite, got inf"),
+        ],
+    )
+    def test_eval(self, star_summary, star_file, tmp_path, capsys, flags, message):
+        capsys.readouterr()
+        out = tmp_path / "report"
+        argv = ["eval", "--summary", str(star_summary), "--input", str(star_file), "--out", str(out)]
+        assert main([*argv, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_bounds_accepted(self, star_summary, capsys):
         for damping in ("0", "1"):

@@ -717,6 +717,19 @@ def test_only_graph_calls_operator_index():
     assert list(attribute_reads(operator_index)) == ["graph.py"]
 
 
+def test_the_forest_runs_no_python_for_loop():
+    # two_hop_mst and its star pairs are array passes; the only Python
+    # loop left is over Boruvka rounds, a while loop of at most log2 n
+    path = Path(graph_module.__file__).with_name("lossy.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    loops = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in ("two_hop_mst", "_star_pair_keys"):
+            kinds = (ast.For, ast.AsyncFor, ast.comprehension)
+            loops[node.name] = [n.lineno for n in ast.walk(node) if isinstance(n, kinds)]
+    assert loops == {"two_hop_mst": [], "_star_pair_keys": []}
+
+
 def test_only_the_package_root_imports_unionfind():
     # the lossy partitions are label arrays from graph.component_labels;
     # the union-find class stays exported, but no library module runs it

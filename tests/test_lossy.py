@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -41,6 +42,7 @@ from generators import (
     twin_rich_graph,
 )
 from oracles import (
+    kruskal_star_forest,
     loop_lossy_superedges,
     loop_utility,
     pairwise_utility,
@@ -554,6 +556,80 @@ class TestMstSufficiency:
             )
             forest = two_hop_mst(g, c)
             assert (forest.pairs, forest.weights) == kruskal_over_full_list(g, c), seed
+
+
+def disjoint_union(*graphs):
+    """The graphs side by side, node ids shifted past the ones before."""
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(u + offset, v + offset) for u, v in g.edges()]
+        offset += g.n
+    return from_edges(offset, edges)
+
+
+def ruler_path_scores(pairs):
+    """Scores on path_graph(4 * pairs) that make each Boruvka round of
+    two_hop_mst join the components of each 2-hop chain in pairs. Path node
+    i is node i // 2 of a chain of 2 * pairs nodes, the even or the odd
+    path nodes: E_q at chain node 2q rises, O_q at 2q + 1 falls, so round 1
+    joins each chain node 2q to 2q + 1; the pairs between those pairs weigh
+    O_q + E_(q+1), a constant plus the trailing zeros of q + 1, the ruler
+    order, which keeps joining pairs round after round."""
+    k = pairs.bit_length() + 1  # each rise of E outweighs any ruler step
+    chain = []
+    for q in range(pairs):
+        rise = q * k + (q & -q).bit_length() - 1 if q else 0  # plus q's trailing zeros
+        chain += [rise, (pairs + 1 - q) * k]
+    return np.repeat(np.array(chain, dtype=np.float64), 2)
+
+
+@functools.cache
+def forest_graph(name):
+    family, _, seed = name.partition("-")
+    if family == "ba":
+        return ba_graph(3000, 8, int(seed))
+    if family == "twin":
+        return twin_rich_graph(int(seed))
+    if family == "path":
+        return path_graph(2000)
+    # several components of unlike shapes, then every even id isolated
+    parts = (ba_graph(400, 3, 1), er_graph(150, 0.04, 2), star_graph(30), path_graph(40))
+    return spread_graph(disjoint_union(*parts))
+
+
+def assert_forest_is_kruskal_loop(g, c):
+    forest = two_hop_mst(g, c)
+    loop = kruskal_star_forest(g, c)
+    assert forest.pairs == loop.pairs
+    assert np.array(forest.weights).tobytes() == np.array(loop.weights).tobytes()
+
+
+class TestForestMatchesKruskalLoop:
+    """two_hop_mst against Kruskal's loop over the same star pairs, on
+    graphs too large for full_candidate_list."""
+
+    @pytest.mark.parametrize("centrality", [uniform_centrality, degree_centrality, pagerank])
+    @pytest.mark.parametrize(
+        "name", ["ba-0", "ba-1", "ba-2", *(f"twin-{s}" for s in range(6)), "components", "path"]
+    )
+    def test_matches(self, name, centrality):
+        g = forest_graph(name)
+        assert_forest_is_kruskal_loop(g, centrality(g))
+
+    def test_path_with_rising_scores(self):
+        # every chain node's least pair is the one to its left: one round
+        g = path_graph(2000)
+        assert_forest_is_kruskal_loop(g, NodeCentrality(np.arange(2000.0), "custom"))
+
+    def test_ruler_path_takes_a_round_per_halving(self, monkeypatch):
+        # two chains of 1024 nodes: each round halves their component count
+        scores = ruler_path_scores(512)
+        g = path_graph(len(scores))
+        rounds = []
+        merge = lossy.component_labels
+        monkeypatch.setattr(lossy, "component_labels", lambda *a: rounds.append(a) or merge(*a))
+        assert_forest_is_kruskal_loop(g, NodeCentrality(scores, "custom"))
+        assert len(rounds) == 10
 
 
 def root_labels(uf):
