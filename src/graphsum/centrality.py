@@ -9,6 +9,7 @@ weight 1 / (n*(n-1)/2 - m).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -51,9 +52,18 @@ def _neighbor_sums(g: Graph, values: np.ndarray) -> np.ndarray:
     return np.bincount(g.sources, weights=values[g.targets], minlength=g.n)
 
 
+def _check_tol(tol: float) -> None:
+    """ValueError unless tol is positive and finite: a tol of 0 or less is
+    never met, and an infinite one (or NaN) would stop or run on silently."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+
+
 def _power_iteration(step, x, tol: float, max_iter: int) -> tuple[np.ndarray, int, bool]:
     """x <- step(x) until the L1 change drops below tol, or for max_iter rounds.
-    Returns the last iterate, the rounds run and whether the change did drop."""
+    Returns the last iterate, the rounds run and whether the change did drop.
+    tol must be positive and finite, or ValueError."""
+    _check_tol(tol)
     for iterations in range(1, max_iter + 1):
         new = step(x)
         delta = float(np.abs(new - x).sum())
@@ -81,8 +91,6 @@ def pagerank_iteration(
     with W = 0 contribute nothing; the division by zero is never evaluated.
     Returns the totals, the rounds run and whether the iteration converged.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if not 0.0 <= damping <= 1.0:
         raise ValueError("damping must lie in [0, 1]")
     w = _neighbor_sums(g, sizes).astype(np.float64)  # float even with no edges
@@ -140,6 +148,7 @@ def eigenvector_centrality(
     if g.n == 0:
         raise EmptyGraphError("eigenvector centrality of an empty graph is undefined")
     if g.m == 0:
+        _check_tol(tol)  # refused as _power_iteration would, though no round runs
         return NodeCentrality(np.zeros(g.n), "eigenvector", True, 0)
 
     def step(x: np.ndarray) -> np.ndarray:

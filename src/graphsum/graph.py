@@ -291,20 +291,25 @@ def _first_appearance(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dense[rank], starts
 
 
-def stable_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def stable_order(
+    keys: np.ndarray, positions: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """np.argsort(keys, kind="stable") for integer keys, and the keys in
-    that order. keys is never written to, so it may be read-only.
+    that order; given positions, one ascending int64 position per key (such
+    as where the keys stood in a longer array), positions in that order in
+    place of the argsort. keys is never written to, so it may be read-only.
 
     One in-place np.sort of a copy packed as key << s | position, s the
     bit length of the largest position, gives the order by a mask and the
     sorted keys by a shift. Negative keys, or keys the positions would push
     past 63 bits (such as 64-bit hashes), take the stable argsort."""
-    shift = (len(keys) - 1).bit_length()
+    top = len(keys) - 1 if positions is None else int(positions.max(initial=0))
+    shift = top.bit_length()
     if keys.min(initial=0) < 0 or int(keys.max(initial=0)).bit_length() + shift > 63:
         order = np.argsort(keys, kind="stable")
-        return order, keys[order]
+        return order if positions is None else positions[order], keys[order]
     packed = np.left_shift(keys, shift, dtype=np.int64)  # a new array, used up by the sort
-    packed |= np.arange(len(packed))
+    packed |= np.arange(len(packed)) if positions is None else positions
     packed.sort()
     order = packed & ((1 << shift) - 1)
     packed >>= shift
@@ -338,21 +343,31 @@ def component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         lu, lv = labels[u], labels[v]
 
 
-def number_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per key, the rank of its value among the distinct values; those values
-    ascending; and each value's first position: np.unique(keys,
-    return_index=True, return_inverse=True) reordered, off one stable_order."""
-    order, ordered = stable_order(keys)
+def group_keys(
+    keys: np.ndarray, positions: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The order of stable_order(keys, positions); per key in that order,
+    the rank of its value among the distinct values; those values
+    ascending; and where each value's run of keys starts in that order."""
+    order, ordered = stable_order(keys, positions)
     first = np.empty(len(keys), dtype=bool)  # each value's first key in sorted order
     first[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    at = np.flatnonzero(first)
-    distinct, starts = ordered[at], order[at]
+    runs = np.flatnonzero(first)
+    distinct = ordered[runs]
     ids = np.cumsum(first, out=ordered)  # ordered is stable_order's own array, now spent
     ids -= 1
+    return order, ids, distinct, runs
+
+
+def number_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per key, the rank of its value among the distinct values; those values
+    ascending; and each value's first position: np.unique(keys,
+    return_index=True, return_inverse=True) reordered, off one group_keys."""
+    order, ids, distinct, runs = group_keys(keys)
     rank = np.empty(len(keys), dtype=np.int64)
     rank[order] = ids
-    return rank, distinct, starts
+    return rank, distinct, order[runs]
 
 
 def parse_int_pairs(data: bytes) -> np.ndarray | None:

@@ -19,13 +19,20 @@ merge_prefix and one compute_utility call, and the best passing probe's
 labels give the summary.
 
 A probe's utility, and the superedges of the final summary, come from one
-array pass over the edges: superpairs keyed lo*n + hi and numbered by
-graph.number_keys, the library's one key-numbering kernel (one in-place
-np.sort of each key packed with its edge index, or a stable argsort where
-the packed key would pass 63 bits, as on graphs of millions of nodes and
-edges), per-pair edge counts and weight sums by np.bincount in canonical
-edge order (the order of Graph.edges()) over the model's cached edge
-weights, and the nonzero losses summed by math.fsum.
+array pass over the edges: superpairs keyed lo*n + hi and grouped by
+graph.group_keys, the library's one key-numbering kernel (one in-place
+np.sort of each key packed with its edge's canonical index, or a stable
+argsort where the packed key would pass 63 bits, as on graphs of millions
+of nodes and edges), per-pair edge counts from the runs and weight sums
+by np.bincount over the model's cached edge weights, and the nonzero
+losses summed by math.fsum. A probe groups only the edges with an end in
+a set of two or more nodes: an edge between two singletons is a superpair
+of capacity 1 and count 1, whose loss is exactly 0 (the scores are
+nonnegative, the normalizer positive, the spurious weight finite), so
+dropping it leaves the nonzero losses as they were; at a short prefix
+that is almost every edge. The packed index keeps each pair's edges in
+canonical edge order (that of Graph.edges()), so its weights are summed
+in that order and the utility is the same to the bit.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ import numpy as np
 
 from .centrality import EdgeWeightModel, NodeCentrality
 from .errors import CapExceededError
-from .graph import Graph, component_labels, distinct_pair_keys, number_keys
+from .graph import Graph, component_labels, distinct_pair_keys, group_keys
 from .graph import relabel_by_first_appearance
 from .summary import PairSet, Summary, pair_capacity
 
@@ -193,26 +200,40 @@ def _edge_weights(g: Graph, model: EdgeWeightModel) -> np.ndarray:
 
 
 def _superpair_costs(
-    g: Graph, model: EdgeWeightModel, labels: np.ndarray
+    g: Graph, model: EdgeWeightModel, labels: np.ndarray, sizes: np.ndarray, edges: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per supernode pair (a, b), a <= b, joined by at least one edge, in
-    ascending (a, b) order: a, b, the cost of adding the superedge
-    (spurious weight) and of dropping it (actual weight). labels are any
-    per-node int64 ids below n.
+    """Per supernode pair (a, b), a <= b, joined by at least one of the
+    given edges, in ascending (a, b) order: a, b, the cost of adding the
+    superedge (spurious weight) and of dropping it (actual weight). edges
+    are ascending indices into the canonical edge order (that of
+    Graph.edge_arrays); labels are any per-node int64 ids below n, and
+    sizes the number of nodes of each id.
 
-    The pairs are numbered by graph.number_keys over the keys lo*n + hi."""
+    The pairs are grouped by graph.group_keys over the keys lo*n + hi
+    packed with the edge indices, so each pair's edges stay in canonical
+    order and np.bincount adds its weights in that order, whichever edges
+    are left out."""
     weights = _edge_weights(g, model)
     n = g.n
     u, v = g.edge_arrays
-    lu, lv = labels[u], labels[v]
-    keys = np.minimum(lu, lv) * n + np.maximum(lu, lv)
-    del lu, lv  # m-sized: freed before the sort adds its own
-    pair, distinct, _ = number_keys(keys)
-    # bincount adds each pair's weights in canonical edge order
-    count = np.bincount(pair)
-    wsum = np.bincount(pair, weights=weights)
+    lu, lv = u[edges], v[edges]
+    # the ends' labels, gathered over the ends: take reads each index before
+    # it writes that slot, and mode="clip" (no index is out of range) keeps
+    # it from buffering out, so no further array is made
+    labels.take(lu, out=lu, mode="clip")
+    labels.take(lv, out=lv, mode="clip")
+    keys = np.minimum(lu, lv)
+    np.maximum(lu, lv, out=lv)
+    keys *= n
+    keys += lv
+    del lu, lv  # freed before the sort adds its own
+    order, pair, distinct, runs = group_keys(keys, edges)
+    del keys  # each edge-sized array is freed once spent, before the per-pair ones
+    count = np.diff(runs, append=len(order))
+    wsum = np.bincount(pair, weights=weights[order])
+    del order, pair
     a, b = np.divmod(distinct, n)
-    possible = pair_capacity(np.bincount(labels), a, b)
+    possible = pair_capacity(sizes, a, b)
     return a, b, (possible - count) * model.spurious_weight, wsum
 
 
@@ -221,15 +242,26 @@ def compute_utility(g: Graph, model: EdgeWeightModel, labels: np.ndarray) -> flo
     give each node a set id in 0..n-1, as merge_prefix does; anything else
     raises ValueError, as does a model built on another graph.
 
-    One array pass over E groups the edges by supernode pair and sums, per
-    pair, the actual edge count and weight (np.bincount, in canonical edge
-    order); the pair then loses the cheaper of adding the superedge
-    (spurious weight) or dropping it (actual weight). Pairs without actual
-    edges cost nothing, and neither do pairs whose loss is exactly zero.
-    The nonzero losses are summed by math.fsum, which is correctly
-    rounded, so the result does not depend on how the pairs are numbered.
+    One array pass over the edges that touch a set of two or more nodes
+    groups them by supernode pair and sums, per pair, the actual edge count
+    and weight (np.bincount, in canonical edge order); the pair then loses
+    the cheaper of adding the superedge (spurious weight) or dropping it
+    (actual weight). An edge between two singletons is a pair of its own,
+    of capacity 1 and count 1: adding it costs 0 spurious weights, which is
+    exactly 0 as the spurious weight is finite, and dropping it costs its
+    weight, which is >= 0 as the scores are nonnegative and the normalizer
+    positive. Its loss is exactly 0, so such edges are not grouped at all,
+    and pairs without actual edges cost nothing either. The nonzero losses
+    are summed by math.fsum, which is correctly rounded, so the result does
+    not depend on how the pairs are numbered; it equals the sum over every
+    edge to the bit.
     """
-    _, _, sedge, nsedge = _superpair_costs(g, model, _checked_labels(g, labels))
+    labels = _checked_labels(g, labels)
+    sizes = np.bincount(labels, minlength=g.n)
+    merged = (sizes > 1)[labels]  # per node: in a set of two or more
+    u, v = g.edge_arrays
+    edges = np.flatnonzero(merged[u] | merged[v])
+    _, _, sedge, nsedge = _superpair_costs(g, model, labels, sizes, edges)
     losses = np.minimum(sedge, nsedge)
     # losses are >= 0, and exact zeros do not change a correctly rounded sum
     value = 1.0 - math.fsum(losses[losses != 0].tolist())
@@ -242,7 +274,8 @@ def build_superedges_lossy(g: Graph, model: EdgeWeightModel, labels: np.ndarray)
     superedge). Supernodes are numbered by first appearance. No kind tags.
     """
     labels = relabel_by_first_appearance(_checked_labels(g, labels))
-    a, b, sedge, nsedge = _superpair_costs(g, model, labels)
+    edges = np.arange(g.m)  # all: an edge between singletons is a superedge too
+    a, b, sedge, nsedge = _superpair_costs(g, model, labels, np.bincount(labels), edges)
     keep = sedge <= nsedge
     return Summary(labels, PairSet(a[keep], b[keep]))
 

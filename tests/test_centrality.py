@@ -18,6 +18,8 @@ from graphsum import (
     eigenvector_centrality,
     from_edges,
     pagerank,
+    pagerank_on_summary,
+    summarize,
     uniform_centrality,
 )
 from graphsum.centrality import DEFAULT_TOL
@@ -149,6 +151,23 @@ class TestOtherCentralities:
         assert e.converged
         assert np.all(e.scores[5:] < 1e-6)
         assert np.all(e.scores[:5] > 0.1)
+
+
+# one power iteration serves all three; each must refuse a tol that is
+# never met (0, -1) or that would stop or run on silently (inf, nan)
+TOL_USERS = {
+    "pagerank": lambda tol: pagerank(ba_graph(200, 3, 1), tol=tol),
+    "pagerank_on_summary": lambda tol: pagerank_on_summary(summarize(ba_graph(200, 3, 1)), tol=tol),
+    "eigenvector": lambda tol: eigenvector_centrality(ba_graph(200, 3, 1), tol, 100),
+    "eigenvector-edgeless": lambda tol: eigenvector_centrality(from_edges(4, []), tol),
+}
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan], ids=["0", "-1", "inf", "nan"])
+@pytest.mark.parametrize("user", TOL_USERS)
+def test_tol_must_be_positive_and_finite(user, tol):
+    with pytest.raises(ValueError, match="^tol must be positive and finite$"):
+        TOL_USERS[user](tol)
 
 
 class TestWeightModel:

@@ -28,7 +28,7 @@ from graphsum import (
     uniform_centrality,
 )
 from graphsum import lossy
-from graphsum.graph import number_keys, relabel_by_first_appearance
+from graphsum.graph import group_keys, number_keys, relabel_by_first_appearance, stable_order
 from graphsum.unionfind import UnionFind
 
 from conftest import random_graphs
@@ -700,9 +700,11 @@ class TestArrayPassMatchesLoop:
 
 
 class TestNumberKeys:
-    """The probe's key numbering, graph.number_keys, against np.unique at
-    the edge of the packed sort: the largest key's bit length plus that of
-    the largest index (3 for 5 keys) is 63 (packed) or 64 (argsort)."""
+    """The probe's key numbering against numpy at the edge of the packed
+    sort: the largest key's bit length plus that of the largest position
+    (3 for 5 keys) is 63 (packed) or 64 (argsort). graph.number_keys packs
+    each key's index; graph.group_keys, as a probe calls it, packs given
+    ascending positions, the kept edges' places in the canonical order."""
 
     @pytest.mark.parametrize(
         "keys, packed",
@@ -738,6 +740,112 @@ class TestNumberKeys:
             assert np.array_equal(distinct, expected_keys)
 
 
+    @pytest.mark.parametrize(
+        "keys, positions, packed",
+        [
+            ([9, 4, 9, 4], [3, 17, 2**20, 2**20 + 1], True),
+            ([2**42 - 1, 5, 2**42 - 1], [3, 17, 2**20], True),  # 42 + 21 bits
+            ([2**42, 5, 2**42], [3, 17, 2**20], False),  # 43 + 21 bits
+            ([5, 2**61 - 1, 5], [0, 1, 2], True),  # 61 + 2 bits
+            ([5, 2**61, 5], [0, 1, 2], False),  # 62 + 2 bits
+            ([7], [2**40], True),
+            ([], [], True),
+        ],
+    )
+    def test_packs_given_positions(self, monkeypatch, keys, positions, packed):
+        keys = np.array(keys, dtype=np.int64)
+        positions = np.array(positions, dtype=np.int64)
+        kept_keys, kept_positions = keys.copy(), positions.copy()
+        stable = np.argsort(keys, kind="stable")
+        values, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        argsort, argsorted = np.argsort, []
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: argsorted.append(1) or argsort(*a, **k))
+        order, ordered = stable_order(keys, positions)
+        grouped, ids, distinct, runs = group_keys(keys, positions)
+        monkeypatch.undo()
+        assert order.tolist() == positions[stable].tolist()
+        assert ordered.tolist() == keys[stable].tolist()
+        assert grouped.tolist() == positions[stable].tolist()
+        assert ids.tolist() == inverse[stable].tolist()
+        assert distinct.tolist() == values.tolist()
+        assert grouped[runs].tolist() == positions[first].tolist()
+        assert np.array_equal(keys, kept_keys)  # neither path writes the keys
+        assert np.array_equal(positions, kept_positions)
+        assert not argsorted if packed else argsorted
+
+    @pytest.mark.parametrize("top", [10, 2**31, 2**52])
+    def test_random_keys_at_sparse_positions(self, top):
+        rng = np.random.default_rng(top)
+        positions = np.sort(rng.choice(20_000, size=3000, replace=False))
+        keys = rng.integers(0, top, size=3000)
+        keys[::3] = keys[1::3]
+        stable = np.argsort(keys, kind="stable")
+        values, inverse = np.unique(keys, return_inverse=True)
+        order, ids, distinct, runs = group_keys(keys, positions)
+        assert np.array_equal(order, positions[stable])
+        assert np.array_equal(ids, inverse[stable])
+        assert np.array_equal(distinct, values)
+        assert np.array_equal(np.diff(runs, append=len(keys)), np.bincount(inverse))
+
+
+# the pruned probe at scale: each pair's weights are summed over its kept
+# edges in canonical order, so the utility equals the loop's bit for bit
+PRUNED_PROBE_GRAPHS = {
+    **{f"ba3000-{seed}": functools.partial(ba_graph, 3000, 8, seed) for seed in range(3)},
+    **{f"twin{seed}": functools.partial(twin_rich_graph, seed) for seed in range(6)},
+}
+
+
+@functools.cache
+def pruned_probe_case(name, centrality):
+    g = PRUNED_PROBE_GRAPHS[name]()
+    model = build_weight_model(g, centrality(g))
+    return g, model, two_hop_mst(g, model.node_centrality)
+
+
+def probe_prefixes(length):
+    """The prefixes 0, 1, L/50, L/2, L-1 and L of a forest of length L."""
+    return sorted({0, min(1, length), length // 50, length // 2, max(length - 1, 0), length})
+
+
+class TestPrunedProbeMatchesLoop:
+    """compute_utility groups only the edges with an end in a set of two or
+    more nodes; the per-edge loop oracle groups them all."""
+
+    @pytest.mark.parametrize("centrality", [uniform_centrality, degree_centrality, pagerank])
+    @pytest.mark.parametrize("name", PRUNED_PROBE_GRAPHS)
+    def test_probe_prefixes(self, name, centrality):
+        g, model, forest = pruned_probe_case(name, centrality)
+        for t in probe_prefixes(len(forest)):
+            labels = merge_prefix(g, forest, t)
+            assert compute_utility(g, model, labels) == loop_utility(g, model, labels), t
+
+    @pytest.mark.parametrize("centrality", [uniform_centrality, degree_centrality, pagerank])
+    @pytest.mark.parametrize("name", ["ba3000-0", "twin0", "twin3"])
+    def test_singletons_labelled_by_other_nodes(self, name, centrality):
+        # relabelled by a permutation of the ids, a singleton's label names
+        # another node and a set's label need not name a member: only the
+        # set sizes say which edges touch a merged set
+        g, model, forest = pruned_probe_case(name, centrality)
+        perm = np.random.default_rng(len(forest)).permutation(g.n)
+        for t in probe_prefixes(len(forest)):
+            labels = merge_prefix(g, forest, t)
+            permuted = perm[labels]
+            utility = compute_utility(g, model, permuted)
+            assert utility == loop_utility(g, model, permuted), t
+            assert utility == compute_utility(g, model, labels), t
+
+    def test_swapped_singleton_and_set_labels(self):
+        # nodes 0 and 1 are singletons labelled by each other; the set
+        # {2, 3, 4} is labelled 5, and node 5 is a singleton labelled 2, so
+        # a set size read by node id in place of label drops the edge (2, 3)
+        g = from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 5), (4, 5), (5, 6), (6, 7), (0, 7)])
+        model = build_weight_model(g, degree_centrality(g))
+        labels = np.array([1, 0, 5, 5, 5, 2, 6, 7])
+        assert compute_utility(g, model, labels) == loop_utility(g, model, labels)
+        assert compute_utility(g, model, labels) < 1.0
+
+
 def assert_probes_match_replay(g, model, candidates):
     """At every prefix 0..len, the probe of summarize_lossy (merge_prefix,
     the components of the prefix's pairs) gives the replayed partition
@@ -752,7 +860,7 @@ def assert_probes_match_replay(g, model, candidates):
     assert t == len(candidates)
 
 
-class TestMergeTreeProbes:
+class TestPrefixLabelProbes:
     """The probe labels of merge_prefix: the connected components of each
     prefix, against the partitions replayed one merge at a time."""
 
