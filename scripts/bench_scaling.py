@@ -10,8 +10,8 @@ each node in one of 50 seeded groups, built outside the timer; the
 model caches its edge weights on the first call, so later runs reuse them.
 `forest_s` is the median two_hop_mst time. `lossy_s` is summarize_lossy
 at tau 0.8 given that forest, so the time includes neither the forest
-(with its ends array, cached when the list is built) nor the model's
-edge weights.
+(with the ends and weights arrays the list holds) nor the model's edge
+weights.
 `sum_sp_ms` is the median of 50 seeded summary-side shortest_path_length
 calls on one summary, in milliseconds. `tri_s` is the median
 count_triangles time; each run gets a fresh copy of the summary, so the

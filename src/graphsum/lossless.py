@@ -23,7 +23,7 @@ import itertools
 
 import numpy as np
 
-from .graph import Graph, distinct_pair_keys, number_keys, stable_order
+from .graph import Graph, distinct_pair_keys, group_keys, number_keys, stable_order
 from .graph import relabel_by_first_appearance
 from .summary import KIND_CLIQUE, KIND_INDEPENDENT_SET, PairSet, Summary
 
@@ -81,18 +81,14 @@ def candidate_supernodes(
 def _buckets(hashes: np.ndarray) -> dict[int, list[int]]:
     """{hash: nodes ascending} for each hash shared by two or more nodes,
     in the order of each bucket's smallest node."""
-    order, ordered = stable_order(hashes)
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = ordered[1:] != ordered[:-1]
-    starts = np.flatnonzero(new)
+    order, _, distinct, starts = group_keys(hashes)
     sizes = np.diff(starts, append=len(order))
-    starts, sizes = starts[sizes >= 2], sizes[sizes >= 2]
-    by_first, _ = stable_order(order[starts])
-    starts, sizes = starts[by_first], sizes[by_first]
+    shared = np.flatnonzero(sizes >= 2)
+    shared = shared[stable_order(order[starts[shared]])[0]]  # by smallest node
     flat = order.tolist()
     return {
         h: flat[start : start + size]
-        for h, start, size in zip(ordered[starts].tolist(), starts.tolist(), sizes.tolist())
+        for h, start, size in zip(*(a[shared].tolist() for a in (distinct, starts, sizes)))
     }
 
 

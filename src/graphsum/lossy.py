@@ -12,7 +12,7 @@ utility above the threshold is found by binary search.
 No partition replays the merges. The partition after a prefix is the
 connected components of its pairs, each labelled by its smallest node:
 merge_prefix computes it by graph.component_labels (min-label hooking
-with pointer jumping) over the prefix of the list's cached ends array.
+with pointer jumping) over the prefix of the ends array the list holds.
 That per-node label array is the one partition form: compute_utility and
 build_superedges_lossy take it. Each probe of the search is one
 merge_prefix and one compute_utility call, and the best passing probe's
@@ -26,20 +26,16 @@ argsort where the packed key would pass 63 bits, as on graphs of millions
 of nodes and edges), per-pair edge counts from the runs and weight sums
 by np.bincount over the model's cached edge weights, and the nonzero
 losses summed by math.fsum. A probe groups only the edges with an end in
-a set of two or more nodes: an edge between two singletons is a superpair
-of capacity 1 and count 1, whose loss is exactly 0 (the scores are
-nonnegative, the normalizer positive, the spurious weight finite), so
-dropping it leaves the nonzero losses as they were; at a short prefix
-that is almost every edge. The packed index keeps each pair's edges in
-canonical edge order (that of Graph.edges()), so its weights are summed
-in that order and the utility is the same to the bit.
+a set of two or more nodes, as an edge between two singletons loses
+exactly 0 (see compute_utility). The packed index keeps each pair's
+edges in canonical edge order (that of Graph.edges()), so its weights
+are summed in that order and the utility is the same to the bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,36 +50,44 @@ DEFAULT_PAIR_CAP = 5_000_000
 TIE_BREAK_RULE = "weight,min-id,max-id"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MergePairList:
-    """Candidate merge pairs in ascending weight order (ties by node ids).
-    Their ends are also held as one int64 array, ends, for merge_prefix."""
+    """Candidate merge pairs, given as (u, v) integer pairs or an (L, 2)
+    integer array, with ascending weights (ties by node ids); held as the
+    read-only copies ends ((2, L) int64) and weights (float64)."""
 
-    pairs: list[tuple[int, int]] = field(repr=False)
-    weights: list[float] = field(repr=False)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
+    ends: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
-        if len(self.pairs) != len(self.weights):
-            raise ValueError(f"{len(self.pairs)} merge pairs but {len(self.weights)} weights")
-        if np.any(np.diff(self.weights) < 0):
-            raise ValueError("merge pair weights must be ascending")
-        if self.ends.min(initial=0) < 0:
-            raise ValueError("merge pairs must name nodes 0 and up")
-
-    @cached_property
-    def ends(self) -> np.ndarray:
-        """The two ends of the pairs as the rows of one read-only (2, len)
-        int64 array, built once and read by every probe of every search
-        over this list."""
-        ends = np.asarray(self.pairs)
-        if len(ends) and (ends.ndim != 2 or ends.shape[1] != 2 or ends.dtype.kind not in "iu"):
+        try:
+            ends = np.asarray(self.ends)
+            paired = ends.ndim == 2 and ends.shape[1] == 2 and ends.dtype.kind in "iu"
+            paired |= ends.shape == (0,)  # no pairs
+        except ValueError:  # ragged pairs
+            paired = False
+        if not paired:
             raise ValueError("merge pairs must be pairs of integer node ids")
-        ends = np.ascontiguousarray(ends.reshape(-1, 2).T, dtype=np.int64)
-        ends.setflags(write=False)
-        return ends
+        ends = np.array(ends.reshape(-1, 2).T, dtype=np.int64, order="C")
+        weights = np.asarray(self.weights)
+        numbers = weights.ndim == 1 and weights.dtype.kind in "iuf" and not np.isnan(weights).any()
+        if not (numbers and np.all(weights[1:] >= weights[:-1])):
+            raise ValueError("merge pair weights must be a 1-d array of ascending numbers")
+        if ends.shape[1] != len(weights):
+            raise ValueError(f"{ends.shape[1]} merge pairs but {len(weights)} weights")
+        if ends.min(initial=0) < 0:
+            raise ValueError("merge pairs must name nodes 0 and up")
+        for name, array in (("ends", ends), ("weights", np.array(weights, dtype=np.float64))):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+    @property
+    def pairs(self) -> list[tuple[int, int]]:
+        """The pairs as (u, v) tuples of Python ints, a new list each call."""
+        return list(zip(*self.ends.tolist()))
 
 
 def two_hop_mst(g: Graph, c: NodeCentrality) -> MergePairList:
@@ -120,7 +124,7 @@ def two_hop_mst(g: Graph, c: NodeCentrality) -> MergePairList:
         del lu, lv  # m-sized: freed before the next live positions
         live = live[labels[lo[live]] != labels[hi[live]]]
     lo, hi = lo[picked], hi[picked]
-    return MergePairList(list(zip(lo.tolist(), hi.tolist())), (scores[lo] + scores[hi]).tolist())
+    return MergePairList(np.stack((lo, hi)).T, scores[lo] + scores[hi])
 
 
 def _star_pair_keys(g: Graph, scores: np.ndarray) -> np.ndarray:
@@ -168,8 +172,8 @@ def full_candidate_list(
 def merge_prefix(g: Graph, candidates: MergePairList, t: int) -> np.ndarray:
     """Partition after merging the first t candidate pairs from singletons:
     per node, the smallest node of its set (int64), which is its connected
-    component in the graph of those pairs (graph.component_labels over the
-    list's cached ends). A list naming a node outside g raises ValueError."""
+    component in the graph of those pairs (graph.component_labels over a
+    prefix of candidates.ends). A list naming a node outside g raises ValueError."""
     if not 0 <= t <= len(candidates):
         raise ValueError(f"prefix length {t} out of range 0..{len(candidates)}")
     top = candidates.ends.max(initial=-1)

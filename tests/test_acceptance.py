@@ -10,6 +10,8 @@ import gc
 import os
 import random
 import statistics
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -230,6 +232,23 @@ def test_criterion_8_complexity_smoke():
             t1 = statistics.median(samples[(sizes[0], op)])
             t2 = statistics.median(samples[(sizes[1], op)])
             assert t2 / t1 <= 2.5, f"{op} scaled {t2 / t1:.2f}x"
+
+
+def test_scaling_script_prints_its_table():
+    # scripts/bench_scaling.py times the criterion 8 passes at larger sizes;
+    # it builds a forest and passes it back as candidates=
+    script = Path(__file__).resolve().parent.parent / "scripts" / "bench_scaling.py"
+    cmd = [sys.executable, str(script), "--base-n", "300", "--doublings", "2", "--runs", "1"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split() == [
+        "n", "m", "summarize", "utility", "forest_s", "lossy_s",
+        "sum_pr", "orig_pr", "sum_sp_ms", "tri_s",
+    ]
+    assert len(rows) == 2
+    assert [int(row.split()[0]) for row in rows] == [300, 424]
+    assert all(len(row.split()) == 10 for row in rows)
 
 
 TABLE_RN_TARGETS = {0.5: 0.58, 0.6: 0.53, 0.7: 0.46, 0.8: 0.38, 0.9: 0.28}

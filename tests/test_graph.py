@@ -719,7 +719,8 @@ def test_only_graph_calls_operator_index():
 
 def test_the_forest_runs_no_python_for_loop():
     # two_hop_mst and its star pairs are array passes; the only Python
-    # loop left is over Boruvka rounds, a while loop of at most log2 n
+    # loop left is over Boruvka rounds, a while loop of at most log2 n.
+    # The forest goes to MergePairList as arrays, never through a list.
     path = Path(graph_module.__file__).with_name("lossy.py")
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     loops = {}
@@ -727,6 +728,9 @@ def test_the_forest_runs_no_python_for_loop():
         if isinstance(node, ast.FunctionDef) and node.name in ("two_hop_mst", "_star_pair_keys"):
             kinds = (ast.For, ast.AsyncFor, ast.comprehension)
             loops[node.name] = [n.lineno for n in ast.walk(node) if isinstance(n, kinds)]
+            loops[node.name] += [
+                n.lineno for n in ast.walk(node) if isinstance(n, ast.Attribute) and n.attr == "tolist"
+            ]
     assert loops == {"two_hop_mst": [], "_star_pair_keys": []}
 
 

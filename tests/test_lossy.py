@@ -94,13 +94,13 @@ class TestTwoHopMst:
         g = path_graph(3)
         forest = two_hop_mst(g, uniform_centrality(g))
         assert forest.pairs == [(0, 2)]
-        assert forest.weights == [2.0]
+        assert forest.weights.tolist() == [2.0]
 
     def test_star_spanning_tree_over_leaves(self):
         g = star_graph(4)
         forest = two_hop_mst(g, uniform_centrality(g))
         assert len(forest) == 3  # the 2-hop graph on the leaves is K4
-        assert forest.weights == [2.0, 2.0, 2.0]
+        assert forest.weights.tolist() == [2.0, 2.0, 2.0]
         uf = UnionFind(g.n)
         for u, v in forest.pairs:
             assert u != 0 and v != 0  # the center has no 2-hop partner
@@ -120,7 +120,7 @@ class TestTwoHopMst:
     def test_forest_shape_and_order(self, g):
         forest = two_hop_mst(g, uniform_centrality(g))
         assert len(forest) <= max(g.n - 1, 0)
-        assert forest.weights == sorted(forest.weights)
+        assert forest.weights.tolist() == sorted(forest.weights.tolist())
         uf = UnionFind(g.n)
         for u, v in forest.pairs:
             assert v in g.two_hop_neighbors(u)
@@ -437,7 +437,17 @@ class TestSummarizeLossy:
         assert labels[1] == labels[2]
         assert labels[4] == labels[5] == labels[6]
 
-    @pytest.mark.parametrize("weights", [[1.0, 0.5], [1.0, 2.0, 2.0, 1.5]])
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [1.0, 0.5],
+            [1.0, 2.0, 2.0, 1.5],
+            [float("nan"), 0.5],  # a NaN compares False both ways
+            [float("nan")],
+            [[0.1], [0.2]],
+            ["1.0"],
+        ],
+    )
     def test_candidate_weights_must_ascend(self, weights):
         with pytest.raises(ValueError, match="ascending"):
             MergePairList([(0, i + 1) for i in range(len(weights))], weights)
@@ -453,11 +463,30 @@ class TestSummarizeLossy:
         with pytest.raises(ValueError, match="nodes 0 and up"):
             MergePairList([(0, 2), (-1, 2)], [1.0, 1.0])
 
-    @pytest.mark.parametrize("pairs", [[(0.5, 2)], [(0, 1, 2)], [()]], ids=str)
+    @pytest.mark.parametrize("pairs", [[(0.5, 2)], [(0, 1, 2)], [()], [(0, 1), (2,)]], ids=str)
     def test_candidate_pairs_must_be_integer_pairs(self, pairs):
         # a cast to int64 would merge node 0 where the list says 0.5
         with pytest.raises(ValueError, match="pairs of integer node ids"):
-            MergePairList(pairs, [1.0])
+            MergePairList(pairs, [1.0] * len(pairs))
+
+    def test_candidate_list_holds_read_only_arrays(self):
+        listed = MergePairList([(0, 2), (1, 3), (0, 1)], [1.0, 2.0, 2.0])
+        given = np.array([[0, 2], [1, 3], [0, 1]]), np.array([1, 2, 2])
+        stacked = MergePairList(*given)
+        for array in given:
+            array[0] = 9  # the list holds copies, not views of its input
+        for forest in (listed, stacked):
+            assert forest.ends.dtype == np.int64 and forest.ends.shape == (2, 3)
+            assert forest.ends.flags.c_contiguous
+            assert forest.weights.dtype == np.float64 and forest.weights.shape == (3,)
+            pairs = forest.pairs
+            assert pairs == [(0, 2), (1, 3), (0, 1)]
+            assert all(type(x) is int for pair in pairs for x in pair)
+            for array in (forest.ends, forest.weights):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
+        assert listed.ends.tobytes() == stacked.ends.tobytes()
+        assert listed.weights.tobytes() == stacked.weights.tobytes()
 
     def test_er_frozen_instance(self):
         g = er_graph(80, 0.15, 8)
@@ -543,7 +572,7 @@ class TestMstSufficiency:
         c = NodeCentrality(np.array([1.5, 1 + 2**-52, 1.0, 1.0]), "custom")
         forest = two_hop_mst(g, c)
         assert forest.pairs == [(1, 2), (0, 1)]
-        assert (forest.pairs, forest.weights) == kruskal_over_full_list(g, c)
+        assert (forest.pairs, forest.weights.tolist()) == kruskal_over_full_list(g, c)
 
     @pytest.mark.parametrize("base", [1.0, 0.3, 1e-3, 7.0])
     def test_scores_one_ulp_apart(self, base):
@@ -555,7 +584,7 @@ class TestMstSufficiency:
                 np.array([base + rng.randint(0, 3) * step for _ in range(g.n)]), "custom"
             )
             forest = two_hop_mst(g, c)
-            assert (forest.pairs, forest.weights) == kruskal_over_full_list(g, c), seed
+            assert (forest.pairs, forest.weights.tolist()) == kruskal_over_full_list(g, c), seed
 
 
 def disjoint_union(*graphs):
